@@ -9,12 +9,11 @@ second exists to check the first:
   closures under the two elementary moves (swap an adjacent commuting pair,
   delete an adjacent inverse pair), used only by the oracles.
 
-Encoding shared by both families and by the compiled twin in `_kernel.pyx`:
-a letter is one byte `2*i + s` where `i` is the generator index in the
-graph's sorted vertex order and `s` is 0 for a positive letter, 1 for an
-inverse; `code ^ 1` is the inverse letter and `code >> 1` the generator.
-`masks[i]` is the bitmask of generator indices adjacent to generator `i`
-(never including `i` itself).
+Encoding shared by both families: a letter is one byte `2*i + s` where `i`
+is the generator index in the graph's sorted vertex order and `s` is 0 for
+a positive letter, 1 for an inverse; `code ^ 1` is the inverse letter and
+`code >> 1` the generator. `masks[i]` is the bitmask of generator indices
+adjacent to generator `i` (never including `i` itself).
 """
 
 from collections import deque

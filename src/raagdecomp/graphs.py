@@ -134,6 +134,8 @@ def _parse_json(text):
     for e in obj["edges"]:
         if not isinstance(e, list) or len(e) != 2:
             raise GraphParseError("each edge must be a two-element list, got %r" % (e,))
+        if not all(isinstance(x, str) for x in e):
+            raise GraphParseError("edge endpoints must be vertex name strings, got %r" % (e,))
     return SimplicialGraph(obj["vertices"], [tuple(e) for e in obj["edges"]])
 
 

@@ -118,8 +118,8 @@ def _attach_index(groups, start, count, kset):
 
 def _relative(sub, collector):
     """Recursive construction; returns (groups, edges) with local indices."""
-    seps = clique_separators(sub)
-    if is_complete(sub) or not seps:
+    seps = [] if is_complete(sub) else clique_separators(sub)
+    if not seps:
         return [tuple(sub.vertices)], []
     k = seps[0]
     collector.append(k)
@@ -160,8 +160,6 @@ def relative_jsj(g: SimplicialGraph) -> GraphOfGroups:
     cliques of the input.
     """
     _require_connected(g)
-    if not g.vertices:
-        return _build(g, [()], [])
     gog = _build(g, *_relative(g, []))
     for e in gog.edges:
         if not e.is_loop and (
@@ -181,13 +179,11 @@ def abelian_jsj(g: SimplicialGraph) -> GraphOfGroups:
     decompose trivially.
     """
     _require_connected(g)
-    if not g.vertices:
-        return _build(g, [()], [])
     if len(g.vertices) == 1:
         return _build(g, [()], [(0, 0, (), g.vertices[0])])
-    if is_complete(g) or not clique_separators(g):
-        return _build(g, [tuple(g.vertices)], [])
     groups, edges = _relative(g, [])
+    if len(groups) == 1:
+        return _build(g, groups, edges)
     for v in hanging_vertices(g):
         sv = star(g, v)
         hits = [i for i, grp in enumerate(groups) if grp == sv]
@@ -415,8 +411,7 @@ def jsj_report(g: SimplicialGraph) -> JsjReport:
     fails, so a returned report is always internally consistent."""
     _require_connected(g)
     collector: list = []
-    if g.vertices and not is_complete(g):
-        _relative(g, collector)
+    _relative(g, collector)
     seen = set()
     separators = tuple(
         k for k in collector if not (k in seen or seen.add(k)))

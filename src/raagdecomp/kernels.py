@@ -1,46 +1,24 @@
-"""Kernel backend selection.
+"""Entry points to the letter-sequence kernels.
 
-The compiled extension `_kernel` (Cython) and the pure module `_pykernel`
-export the same three functions. The compiled one is preferred when it
-imported cleanly, the graph is small enough for 64-bit adjacency masks, and
-`RAAGDECOMP_PURE_PYTHON` is not set. Callers go through the wrappers below
-so the choice is made per call on the mask width.
+The word engine and the oracles call the kernels through this module, not
+through `_pykernel` directly, so there is one place where the kernel
+implementation is bound (and where a profiler can wrap each call).
 """
-
-import os
 
 from . import _pykernel
 
-try:
-    from . import _kernel  # type: ignore[attr-defined]
-except ImportError:
-    _kernel = None
-
-_FORCE_PURE = os.environ.get("RAAGDECOMP_PURE_PYTHON", "") not in ("", "0")
-
-# compiled kernels keep adjacency in uint64 masks, one bit per generator
-_COMPILED_MAX_GENERATORS = 63
-
 
 def backend_name():
-    if _kernel is None or _FORCE_PURE:
-        return "pure"
-    return "compiled"
-
-
-def _pick(masks):
-    if _kernel is None or _FORCE_PURE or len(masks) > _COMPILED_MAX_GENERATORS:
-        return _pykernel
-    return _kernel
+    return "pure"
 
 
 def canonicalize(data, masks):
-    return _pick(masks).canonicalize(data, masks)
+    return _pykernel.canonicalize(data, masks)
 
 
 def closure_canonical(data, masks, max_states):
-    return _pick(masks).closure_canonical(data, masks, max_states)
+    return _pykernel.closure_canonical(data, masks, max_states)
 
 
 def closure_equal(w1, w2, masks, max_states):
-    return _pick(masks).closure_equal(w1, w2, masks, max_states)
+    return _pykernel.closure_equal(w1, w2, masks, max_states)

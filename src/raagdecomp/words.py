@@ -2,7 +2,7 @@
 
 A `Word` is an unreduced spelling; `NormalForm` is the shortlex-least
 geodesic spelling of the element, unique per element, computed by the
-selected kernel backend. Two spellings denote the same element exactly when
+letter kernels. Two spellings denote the same element exactly when
 their normal forms coincide.
 
 Letter order is (generator name, sign) with the positive letter before the
@@ -94,7 +94,14 @@ def _same_graph(a, b) -> None:
 
 def _encode(graph: SimplicialGraph, letters: Iterable[Letter]) -> bytes:
     idx = graph._index
-    return bytes(2 * idx[n] + (0 if s > 0 else 1) for n, s in letters)
+    try:
+        return bytes(2 * idx[n] + (0 if s > 0 else 1) for n, s in letters)
+    except ValueError:
+        # a letter code is one byte, so generator indices stop at 127
+        raise DomainError(
+            "words may use only the first 128 generators in sorted order "
+            "(one-byte letter codes); this graph has %d"
+            % len(graph.vertices)) from None
 
 
 def _decode(graph: SimplicialGraph, data: bytes) -> Tuple[Letter, ...]:
@@ -198,23 +205,23 @@ def _length_m_prefixes(codes: bytes, m: int, masks, cap: int):
     against `cap`.
     """
     results = set()
-    spent = [0]
-
-    def rec(rest: bytes, prefix: bytes):
-        spent[0] += 1
-        if spent[0] > cap:
+    spent = 0
+    # depth-first, least letter first; the tree is as deep as m
+    stack = [(codes, b"")]
+    while stack:
+        rest, prefix = stack.pop()
+        spent += 1
+        if spent > cap:
             raise BudgetExceededError(
                 "linearization enumeration exceeded %d steps" % cap,
                 dimension="max_linearizations")
         if len(prefix) == m:
             results.add(prefix)
-            return
+            continue
         movable = _first_movable(rest, masks)
-        for x in sorted(movable):
+        for x in sorted(movable, reverse=True):
             p = movable[x]
-            rec(rest[:p] + rest[p + 1:], prefix + bytes((x,)))
-
-    rec(codes, b"")
+            stack.append((rest[:p] + rest[p + 1:], prefix + bytes((x,))))
     return results
 
 

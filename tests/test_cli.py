@@ -71,6 +71,13 @@ class TestAnalyze:
         assert code == 1
         assert "error" in err
 
+    def test_non_string_edge_endpoint(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"vertices": ["a","b"], "edges": [[["a"],"b"]]}')
+        code, _, err = run(capsys, "analyze", str(path))
+        assert code == 1
+        assert "endpoints must be vertex name strings" in err
+
 
 class TestJsj:
     def test_relative_json(self, capsys, p4_file):

@@ -1,16 +1,9 @@
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 
 from raagdecomp import BudgetExceededError, backend_name
-from raagdecomp import kernels, _pykernel
-
-compiled = kernels._kernel
-needs_compiled = pytest.mark.skipif(compiled is None,
-                                    reason="compiled kernel not built")
+from raagdecomp import _pykernel
 
 
 def random_case(rng, n_gens, length):
@@ -60,55 +53,6 @@ class TestPureKernel:
         assert info.value.dimension == "max_states"
 
 
-@needs_compiled
-class TestCompiledParity:
-    def test_canonicalize_matches_pure(self):
-        rng = random.Random(23)
-        for _ in range(500):
-            word, masks = random_case(rng, rng.randrange(1, 8),
-                                      rng.randrange(0, 40))
-            assert compiled.canonicalize(word, masks) == \
-                _pykernel.canonicalize(word, masks)
-
-    def test_closure_canonical_matches_pure(self):
-        rng = random.Random(29)
-        for _ in range(60):
-            word, masks = random_case(rng, rng.randrange(1, 5),
-                                      rng.randrange(0, 7))
-            assert compiled.closure_canonical(word, masks, 100_000) == \
-                _pykernel.closure_canonical(word, masks, 100_000)
-
-    def test_closure_equal_matches_pure(self):
-        rng = random.Random(31)
-        for _ in range(120):
-            w1, masks = random_case(rng, 3, rng.randrange(0, 6))
-            w2 = bytes(rng.randrange(6) for _ in range(rng.randrange(0, 6)))
-            assert compiled.closure_equal(w1, w2, masks, 100_000) == \
-                _pykernel.closure_equal(w1, w2, masks, 100_000)
-
-    def test_budget_raises_same_dimension(self):
-        masks = (0b110, 0b101, 0b011)
-        with pytest.raises(BudgetExceededError) as info:
-            compiled.closure_canonical(bytes((0, 2, 4, 0, 2, 4)), masks, 3)
-        assert info.value.dimension == "max_states"
-
-    def test_accepts_bytearray(self):
-        masks = (0b10, 0b01)
-        assert compiled.canonicalize(bytearray((2, 0)), masks) == bytes((0, 2))
-
-
 class TestDispatch:
     def test_backend_reported(self):
-        assert backend_name() in ("pure", "compiled")
-
-    def test_wide_graphs_fall_back_to_pure(self):
-        masks = tuple([0] * 64)
-        assert kernels._pick(masks) is _pykernel
-
-    def test_force_pure_env(self):
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "import raagdecomp; print(raagdecomp.backend_name())"],
-            capture_output=True, text=True,
-            env={**os.environ, "RAAGDECOMP_PURE_PYTHON": "1"})
-        assert out.stdout.strip() == "pure"
+        assert backend_name() == "pure"

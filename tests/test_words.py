@@ -67,6 +67,12 @@ class TestNormalForm:
         assert not equal(w(p4, "a c"), w(p4, "c a"))
         assert equal(w(p4, "c d c^-1 d^-1"), w(p4, ""))
 
+    def test_generator_beyond_one_byte_code_rejected(self):
+        g = SimplicialGraph(["v%03d" % i for i in range(130)], [])
+        assert str(normal_form(w(g, "v127^-1 v000"))) == "v127^-1 v000"
+        with pytest.raises(DomainError, match="first 128 generators"):
+            normal_form(w(g, "v128"))
+
     def test_equal_rejects_cross_graph(self, p4, k3):
         with pytest.raises(DomainError):
             equal(w(p4, "a"), w(k3, "a"))
@@ -195,6 +201,14 @@ class TestCentralizer:
         assert d.contains(parse_word(p4, "b a c"))
         assert not d.contains(parse_word(p4, "a c^2"))
         assert not d.contains(parse_word(p4, "a"))
+
+    def test_long_primitive_word(self):
+        # 2018 = 2 * 1009: the exponent-2 candidate walks 1009-letter
+        # prefixes, deeper than the interpreter's recursion limit
+        free3 = SimplicialGraph(("a", "b", "c"), [])
+        d = centralizer_descriptor(w(free3, "a^2016 b c"))
+        assert [(f.support, f.exponent) for f in d.factors] == \
+            [(("a", "b", "c"), 1)]
 
     def test_mode_flag(self, p4):
         word = parse_word(p4, "b")
