@@ -106,8 +106,10 @@ def parse_graph(text):
     """Parse a graph from canonical JSON or from the supported DOT subset.
 
     JSON form: {"vertices": [...], "edges": [["a", "b"], ...]}.
-    DOT form: `graph Name? { a -- b; c; ... }` with identifier vertex names,
-    `--` edge chains, and `//`, `#`, `/* */` comments.
+    DOT form: `graph Name? { a -- b; c; ... }` with `--` edge chains,
+    statements ended by `;` or a newline, and `//`, `#`, `/* */` comments.
+    A name is a bare identifier (letters, digits, `_`) or a double-quoted
+    string in which `\\"` stands for `"` and `\\\\` for a backslash.
     """
     stripped = text.lstrip()
     if not stripped:
@@ -141,36 +143,84 @@ def _parse_json(text):
 
 _DOT_ID = re.compile(r"[A-Za-z0-9_]+\Z")
 
+# one DOT token at a time: blanks and comments (skipped), a bare name, a
+# double-quoted name, or one of the punctuation tokens
+_DOT_LEX = re.compile(r"""
+    [ \t\r\f\v]+ | //[^\n]* | \#[^\n]* | /\*.*?\*/
+  | (?P<id>[A-Za-z0-9_]+)
+  | "(?P<quoted>(?:[^"\\]|\\.)*)"
+  | (?P<op>--|[;{}\n])
+""", re.S | re.X)
+
+
+def _dot_tokens(text):
+    """Yield (kind, value) per token: kind "id" for a name (quotes removed,
+    backslash escapes of '"' and '\\' resolved), otherwise the punctuation
+    token itself ("--", ";", "{", "}" or a newline)."""
+    pos = 0
+    while pos < len(text):
+        m = _DOT_LEX.match(text, pos)
+        if m is None:
+            if text.startswith('"', pos):
+                raise GraphParseError("unterminated quoted name")
+            if text.startswith("/*", pos):
+                raise GraphParseError("unterminated comment")
+            raise GraphParseError(
+                "invalid DOT token %r" % text[pos:].split(None, 1)[0][:20])
+        pos = m.end()
+        if m.group("id") is not None:
+            yield "id", m.group("id")
+        elif m.group("quoted") is not None:
+            yield "id", re.sub(r'\\(["\\])', r"\1", m.group("quoted"))
+        elif m.group("op") is not None:
+            yield m.group("op"), m.group("op")
+
 
 def _parse_dot(text):
-    # strip comments
-    body = re.sub(r"/\*.*?\*/", " ", text, flags=re.S)
-    body = re.sub(r"(//|#)[^\n]*", " ", body)
-    m = re.match(r"\s*graph(\s+[A-Za-z0-9_]+)?\s*\{", body)
-    if not m:
+    tokens = _dot_tokens(text)
+
+    def header_token():
+        for kind, value in tokens:
+            if kind != "\n":
+                return kind, value
+        return None, None
+
+    header = header_token(), header_token()
+    if header[1][0] == "id":  # the graph's name
+        header = header[0], header_token()
+    if header != (("id", "graph"), ("{", "{")):
         raise GraphParseError("expected 'graph [name] {' header")
-    close = body.rfind("}")
-    if close < m.end():
-        raise GraphParseError("missing closing '}'")
-    trailer = body[close + 1:].strip()
-    if trailer:
-        raise GraphParseError("unexpected text after closing '}': %r" % trailer[:20])
     vertices = []
     edges = []
     seen = set()
-    for stmt in re.split(r"[;\n]", body[m.end():close]):
-        stmt = stmt.strip()
-        if not stmt:
-            continue
-        names = [t.strip().strip('"') for t in stmt.split("--")]
-        for name in names:
-            if not _DOT_ID.match(name):
-                raise GraphParseError("invalid DOT token %r" % (name,))
-            if name not in seen:
-                seen.add(name)
-                vertices.append(name)
-        for u, v in zip(names, names[1:]):
-            edges.append((u, v))
+    chain = []  # the names of the statement so far
+    pending = False  # a '--' waits for the name on its right
+    for kind, value in tokens:
+        if kind == "id":
+            if chain and not pending:
+                raise GraphParseError(
+                    "expected '--' or ';' after %r, got %r" % (chain[-1], value))
+            if value not in seen:
+                seen.add(value)
+                vertices.append(value)
+            if pending:
+                edges.append((chain[-1], value))
+            chain.append(value)
+            pending = False
+        elif kind == "--" and chain and not pending:
+            pending = True
+        elif kind in (";", "\n", "}") and not pending:
+            chain = []
+            if kind == "}":
+                break
+        else:
+            raise GraphParseError("unexpected %r in DOT statement" % value)
+    else:
+        raise GraphParseError("missing closing '}'")
+    for kind, value in tokens:
+        if kind != "\n":
+            raise GraphParseError(
+                "unexpected text after closing '}': %r" % value[:20])
     return SimplicialGraph(vertices, edges)
 
 
@@ -192,7 +242,9 @@ def graph_to_dot(g):
 
 
 def _dot_name(name):
-    return name if _DOT_ID.match(name) else '"%s"' % name.replace('"', '\\"')
+    if _DOT_ID.match(name):
+        return name
+    return '"%s"' % name.replace("\\", "\\\\").replace('"', '\\"')
 
 
 def _vertex_set(g, s):
@@ -298,35 +350,95 @@ def is_complete(g):
     return is_clique(g, g.vertices)
 
 
-def _minimal_separators(g):
-    """All minimal separators (vertex sets with at least two full components),
-    by the component-neighborhood closure method: seed with neighborhoods of
-    components left by deleting a closed neighborhood, then saturate by
-    re-expanding each separator around each of its members."""
-    vset = set(g.vertices)
+def _mcs_m(g):
+    """Higher neighbours in a minimal triangulation of `g`, by MCS-M.
+
+    MCS-M (Berry, Blair, Heggernes and Peyton, Algorithmica 39, 2004)
+    numbers the vertices from n down to 1, each time taking an unnumbered
+    vertex z of largest weight. Every unnumbered u that z reaches through
+    unnumbered vertices all lighter than u gains one weight and an edge to
+    z in the triangulation H. The numbering is a perfect elimination
+    order of H, which is a minimal triangulation of `g`. Returns, per
+    vertex index, the indices of its H-neighbours numbered before it: its
+    neighbours later in the elimination order. O(n * m) time.
+    """
+    idx = g._index
+    adj = [[idx[u] for u in g._adj[v]] for v in g.vertices]
+    weight = [0] * len(adj)
+    numbered = [False] * len(adj)
+    rest = list(range(len(adj)))
+    later = [[] for _ in adj]
+    while rest:
+        z = max(rest, key=weight.__getitem__)
+        rest.remove(z)
+        numbered[z] = True
+        # least, over the paths from z, of the weight of their heaviest
+        # inner vertex; only a value below the largest weight can qualify
+        top = max((weight[u] for u in rest), default=0)
+        best = {}
+        buckets = [[] for _ in range(top + 1)]
+        for u in adj[z]:
+            if not numbered[u]:
+                best[u] = -1
+                buckets[0].append(u)
+        reached = []
+        for b, bucket in enumerate(buckets):
+            cost = b - 1
+            while bucket:
+                y = bucket.pop()
+                if best[y] != cost:  # reached more cheaply since
+                    continue
+                if cost < weight[y]:
+                    reached.append(y)
+                c = max(cost, weight[y])
+                if c >= top:
+                    continue
+                for x in adj[y]:
+                    if not numbered[x] and best.get(x, top) > c:
+                        best[x] = c
+                        buckets[c + 1].append(x)
+        for y in reached:
+            weight[y] += 1
+            later[y].append(z)
+    return later
+
+
+def clique_separator_candidates(g):
+    """Disconnecting cliques of a connected graph, at most one per vertex,
+    sorted by cardinality then lexicographically.
+
+    The candidates are the sets of later neighbours of the vertices in an
+    MCS-M minimal triangulation H (see `_mcs_m`) that are cliques of `g`
+    and disconnect it. Every minimal separator of H is such a set, and the
+    clique minimal separators of `g` are the minimal separators of H that
+    are cliques of `g` (Berry, Pogorelcnik and Simonet, "An introduction
+    to clique minimal separator decomposition", Algorithms 3(2), 2010), so
+    the list holds every clique minimal separator of `g`. It also holds
+    every clique minimal separator of each piece that splitting `g` along
+    clique separators produces, since those are clique minimal separators
+    of `g` as well.
+    """
+    vs = g.vertices
+    vset = frozenset(vs)
     found = set()
-    queue = []
-
-    def push(candidates):
-        for comp in candidates:
-            s = frozenset().union(*(g.neighbors(x) for x in comp)) - comp
-            if s and s not in found:
-                found.add(s)
-                queue.append(s)
-
-    for v in g.vertices:
-        push(_components_within(g, vset - set(g.neighbors(v)) - {v}))
-    while queue:
-        s = queue.pop()
-        for x in sorted(s):
-            push(_components_within(g, vset - s - set(g.neighbors(x))))
-    return found
+    for later in _mcs_m(g):
+        s = frozenset(vs[i] for i in later)
+        if s and s not in found and is_clique(g, s) and \
+                len(_components_within(g, vset - s)) >= 2:
+            found.add(s)
+    return sorted((tuple(sorted(s)) for s in found),
+                  key=lambda t: (len(t), t))
 
 
 def clique_separators(g):
     """Inclusion-minimal cliques whose removal disconnects the graph, sorted
     by cardinality then lexicographically. Requires a connected graph; the
     empty graph yields an empty list.
+
+    Polynomial time: an MCS-M minimal triangulation (O(n * m)) yields at
+    most n candidate sets, each checked for being a disconnecting clique
+    (`clique_separator_candidates`); the inclusion-minimal candidates are
+    the answer.
 
     >>> clique_separators(parse_graph("graph { a -- b; b -- c; c -- d }"))
     [('b',), ('c',)]
@@ -338,9 +450,8 @@ def clique_separators(g):
     if not is_connected(g):
         raise DomainError("clique_separators requires a connected graph; "
                           "split into components first")
-    cliques = [s for s in _minimal_separators(g) if is_clique(g, s)]
-    minimal = [s for s in cliques if not any(t < s for t in cliques)]
-    return sorted((tuple(sorted(s)) for s in minimal), key=lambda t: (len(t), t))
+    cands = [frozenset(t) for t in clique_separator_candidates(g)]
+    return [tuple(sorted(s)) for s in cands if not any(t < s for t in cands)]
 
 
 def minimum_clique_separator(g):

@@ -11,9 +11,10 @@ from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 from .errors import DomainError, InvariantViolationError, RaagError
-from .graphs import (SimplicialGraph, _components_within, clique_separators,
+from .graphs import (SimplicialGraph, _components_within,
+                     clique_separator_candidates, clique_separators,
                      hanging_vertices, induced_subgraph, is_clique,
-                     is_complete, is_connected, link, star, _vertex_set)
+                     is_connected, link, star, _vertex_set)
 
 
 @dataclass(frozen=True)
@@ -116,32 +117,68 @@ def _attach_index(groups, start, count, kset):
     return best
 
 
-def _relative(sub, collector):
-    """Recursive construction; returns (groups, edges) with local indices."""
-    seps = [] if is_complete(sub) else clique_separators(sub)
-    if not seps:
-        return [tuple(sub.vertices)], []
-    k = seps[0]
-    collector.append(k)
-    kset = set(k)
-    parts = [
-        _relative(induced_subgraph(sub, kset | comp), collector)
-        for comp in _components_within(sub, set(sub.vertices) - kset)]
+def _split_tree(g):
+    """Iterated splitting of a connected graph along clique separators.
+
+    Returns (groups, edges, used): the node groups, one per leaf of the
+    splitting tree from left to right, the amalgam edges between them (by
+    group index) and the separators in the order their pieces split.
+
+    A piece splits along the least clique separator of the full subgraph
+    on it. The candidates of `g` hold every clique minimal separator of
+    every piece, so the least one is the first candidate, in (size, lex)
+    order, that lies inside the piece and disconnects it. It also comes
+    after the separator its parent split along, so the scan of a piece
+    starts there. The pieces of a split are the separator plus each
+    component left after deleting it, in order of least vertex; the
+    pieces of consecutive components are joined at their lexicographically
+    least group containing the separator. An explicit stack takes the
+    pieces depth first, so the depth of the tree costs no recursion.
+    """
+    candidates = [(k, frozenset(k)) for k in clique_separator_candidates(g)]
     groups: list = []
     edges: list = []
-    offsets = []
-    sizes = []
-    for pgroups, pedges in parts:
-        off = len(groups)
-        offsets.append(off)
-        sizes.append(len(pgroups))
-        groups.extend(pgroups)
-        edges.extend((a + off, b + off, grp, st) for a, b, grp, st in pedges)
-    for i in range(len(parts) - 1):
-        a = _attach_index(groups, offsets[i], sizes[i], kset)
-        b = _attach_index(groups, offsets[i + 1], sizes[i + 1], kset)
-        edges.append((a, b, k, None))
-    return groups, edges
+    used: list = []
+    # a piece is (vertices, first candidate to try, the group offsets of its
+    # split); the split itself, (separator, None, offsets), is taken after
+    # all its pieces, when it joins them
+    stack = [(frozenset(g.vertices), 0, None)]
+    while stack:
+        part, first, offsets = stack.pop()
+        if first is None:
+            k, kset = part
+            ends = offsets[1:] + [len(groups)]
+            for i in range(len(offsets) - 1):
+                a = _attach_index(groups, offsets[i], ends[i] - offsets[i], kset)
+                b = _attach_index(groups, offsets[i + 1],
+                                  ends[i + 1] - offsets[i + 1], kset)
+                edges.append((a, b, k, None))
+            continue
+        if offsets is not None:
+            offsets.append(len(groups))
+        pos = _first_split(g, part, candidates, first)
+        if pos is None:
+            groups.append(tuple(sorted(part)))
+            continue
+        k, kset = candidates[pos]
+        used.append(k)
+        mine: list = []
+        stack.append(((k, kset), None, mine))
+        for comp in reversed(_components_within(g, part - kset)):
+            stack.append((kset | comp, pos + 1, mine))
+    return groups, edges, used
+
+
+def _first_split(g, piece, candidates, first):
+    """Index of the first candidate from `first` on that lies inside
+    `piece` and disconnects it, or None; complete pieces never split."""
+    if is_clique(g, piece):
+        return None
+    for pos in range(first, len(candidates)):
+        kset = candidates[pos][1]
+        if kset <= piece and len(_components_within(g, piece - kset)) >= 2:
+            return pos
+    return None
 
 
 def _require_connected(g):
@@ -155,12 +192,17 @@ def relative_jsj(g: SimplicialGraph) -> GraphOfGroups:
 
     Complete or separator-free graphs stay a single node; otherwise the
     graph splits along its minimum clique separator into a path of amalgams
-    and each piece recurses. The result is a reduced tree whose node groups
-    are abelian or separator-free and whose edge groups are disconnecting
-    cliques of the input.
+    and each piece splits in turn. The result is a reduced tree whose node
+    groups are abelian or separator-free and whose edge groups are
+    disconnecting cliques of the input.
     """
     _require_connected(g)
-    gog = _build(g, *_relative(g, []))
+    groups, edges, _ = _split_tree(g)
+    return _relative_gog(g, groups, edges)
+
+
+def _relative_gog(g, groups, edges):
+    gog = _build(g, groups, edges)
     for e in gog.edges:
         if not e.is_loop and (
                 e.group == gog.node(e.ends[0]).group
@@ -179,11 +221,16 @@ def abelian_jsj(g: SimplicialGraph) -> GraphOfGroups:
     decompose trivially.
     """
     _require_connected(g)
+    groups, edges, _ = _split_tree(g)
+    return _abelian_gog(g, groups, edges)
+
+
+def _abelian_gog(g, groups, edges):
     if len(g.vertices) == 1:
         return _build(g, [()], [(0, 0, (), g.vertices[0])])
-    groups, edges = _relative(g, [])
     if len(groups) == 1:
         return _build(g, groups, edges)
+    groups, edges = list(groups), list(edges)  # jsj_report shares them
     for v in hanging_vertices(g):
         sv = star(g, v)
         hits = [i for i, grp in enumerate(groups) if grp == sv]
@@ -410,13 +457,10 @@ def jsj_report(g: SimplicialGraph) -> JsjReport:
     """Both decompositions plus their validation; raises when any check
     fails, so a returned report is always internally consistent."""
     _require_connected(g)
-    collector: list = []
-    _relative(g, collector)
-    seen = set()
-    separators = tuple(
-        k for k in collector if not (k in seen or seen.add(k)))
-    rel = relative_jsj(g)
-    abe = abelian_jsj(g)
+    groups, edges, used = _split_tree(g)
+    separators = tuple(dict.fromkeys(used))
+    rel = _relative_gog(g, groups, edges)
+    abe = _abelian_gog(g, groups, edges)
     checks = tuple(
         [replace(c, name="relative:" + c.name) for c in validate(rel)]
         + [replace(c, name="abelian:" + c.name) for c in validate(abe, abelian=True)])

@@ -68,19 +68,37 @@ class NormalForm:
 
 _TOKEN = re.compile(r"([A-Za-z0-9_]+)(?:\^([+-]?\d+))?\Z")
 
+# Most letters a parsed word may expand to. Each expanded letter costs
+# about 80 bytes, so the cap keeps a parsed word under about 100 MB.
+MAX_WORD_LETTERS = 1_000_000
+
 
 def parse_word(graph: SimplicialGraph, text: str) -> Word:
-    """Whitespace-separated tokens `v`, `v^-1`, `v^k` (k expanded)."""
-    letters = []
+    """Whitespace-separated tokens `v`, `v^-1`, `v^k` (k expanded).
+
+    Raises DomainError when the word would expand to more than
+    MAX_WORD_LETTERS letters, before building any of them.
+    """
+    tokens = []
+    total = 0
     for tok in text.split():
         m = _TOKEN.match(tok)
         if not m:
             raise DomainError("malformed word token %r" % (tok,))
-        name, exp = m.group(1), int(m.group(2)) if m.group(2) else 1
+        name, digits = m.group(1), m.group(2) or "1"
         if name not in graph._index:
             raise DomainError("unknown generator %r" % (name,))
-        letters.extend((name, 1 if exp > 0 else -1) for _ in range(abs(exp)))
-    return Word(graph, tuple(letters))
+        sign = -1 if digits[0] == "-" else 1
+        digits = digits.lstrip("+-").lstrip("0") or "0"
+        # int() refuses more than 4300 digits; 20 are far over the cap
+        count = int(digits) if len(digits) <= 20 else MAX_WORD_LETTERS + 1
+        total += count
+        if total > MAX_WORD_LETTERS:
+            raise DomainError("word expands to more than %d letters"
+                              % MAX_WORD_LETTERS)
+        tokens.append(((name, sign), count))
+    return Word(graph, tuple(
+        letter for letter, count in tokens for _ in range(count)))
 
 
 def word_text(w) -> str:

@@ -36,7 +36,7 @@ def tri_tail():
 def random_connected_graph(rng: random.Random, n: int,
                            extra_p: float = 0.3) -> SimplicialGraph:
     """Random spanning tree plus independent extra edges."""
-    names = tuple("abcdefghij"[:n])
+    names = tuple("abcdefghijkl"[:n])
     edges = set()
     order = list(range(n))
     rng.shuffle(order)

@@ -18,6 +18,7 @@ from raagdecomp import (BudgetExceededError, OracleBudget, SimplicialGraph,
 from raagdecomp.oracles import _enumerated_ball
 from raagdecomp.words import _decode, _encode
 
+import golden
 from conftest import random_connected_graph, random_word
 
 P4 = SimplicialGraph(("a", "b", "c", "d"),
@@ -219,7 +220,8 @@ def test_08_centralizer_ball():
 def test_09_decomposition_validation_sweep():
     # every validation check on both decompositions, plus the cascade
     # property: separators chosen while recursing are clique separators of
-    # the original graph, not only of the piece they were found in
+    # the original graph, not only of the piece they were found in; the
+    # output bytes on the golden corpus match the stored digests
     t0 = time.perf_counter()
 
     def run(g):
@@ -229,12 +231,15 @@ def test_09_decomposition_validation_sweep():
             assert is_clique(g, sep)
             rest = set(g.vertices) - set(sep)
             assert len(connected_components(induced_subgraph(g, rest))) >= 2
+        return report
 
     count = 0
-    for g in connected_graphs_up_to(6):
-        run(g)
-        count += 1
+    digests = golden.Digests()
+    for group, g in golden.corpus():
+        digests.add(group, run(g))
+        count += group != golden.SEEDED
     assert count == 27476
+    assert digests.hexdigests() == golden.stored()
     rng = random.Random(0xDEC)
     for _ in range(200):
         run(random_connected_graph(rng, rng.randrange(7, 10),

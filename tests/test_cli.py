@@ -140,6 +140,13 @@ class TestElement:
         assert obj["normal_form"] == "a b c a^-1"
         assert obj["length"] == 4
 
+    def test_word_over_length_cap(self, capsys, p4_file):
+        code, out, err = run(capsys, "element", p4_file,
+                             "--word", "a^" + "9" * 5000)
+        assert code == 1
+        assert out == ""
+        assert "more than" in err
+
     def test_support(self, capsys, p4_file):
         code, out, _ = run(capsys, "element", p4_file,
                            "--word", "a b a^-1", "--op", "support")

@@ -66,6 +66,27 @@ class TestParsing:
     def test_dot_round_trip(self, tri_tail):
         assert parse_graph(graph_to_dot(tri_tail)) == tri_tail
 
+    def test_dot_round_trip_quoted_names(self):
+        g = SimplicialGraph(("a-b", "c"), [("a-b", "c")])
+        assert parse_graph(graph_to_dot(g)) == g
+
+    def test_dot_quoted_names_and_escapes(self):
+        g = parse_graph('graph { "a-b" -- c; "x\\"y" -- "p\\\\q"\n'
+                        '"// not # a /* comment" }')
+        assert g.vertices == ("// not # a /* comment", "a-b", "c",
+                              "p\\q", 'x"y')
+        assert g.edges == frozenset({("a-b", "c"), ("p\\q", 'x"y')})
+
+    def test_dot_statement_errors(self):
+        for text, match in [("graph { a -- }", "unexpected"),
+                            ("graph { a b }", "expected '--'"),
+                            ("graph { a-b -- c }", "invalid DOT token"),
+                            ('graph { "a }', "unterminated quoted"),
+                            ("graph { a /* }", "unterminated comment"),
+                            ("graph { a", "missing closing")]:
+            with pytest.raises(GraphParseError, match=match):
+                parse_graph(text)
+
     def test_empty_input(self):
         with pytest.raises(GraphParseError, match="empty input"):
             parse_graph("   \n  ")

@@ -2,7 +2,8 @@ from hypothesis import given, settings, strategies as st
 
 from raagdecomp import (SimplicialGraph, Word, bfs_equal,
                         centralizer_descriptor, cyclically_reduce, equal,
-                        normal_form, power, support, word_text)
+                        graph_to_dot, normal_form, parse_graph, power,
+                        support, word_text)
 from raagdecomp import kernels, _pykernel
 from raagdecomp.words import _encode
 
@@ -121,3 +122,18 @@ def test_word_text_round_trips_through_parser(gw):
     from raagdecomp import parse_word
     g, w = gw
     assert parse_word(g, word_text(w)).letters == w.letters
+
+
+@st.composite
+def named_graphs(draw):
+    names = draw(st.lists(st.text(min_size=1, max_size=6), min_size=1,
+                          max_size=5, unique=True))
+    pairs = [(u, v) for i, u in enumerate(names) for v in names[i + 1:]]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) \
+        if pairs else []
+    return SimplicialGraph(names, edges)
+
+
+@given(named_graphs())
+def test_dot_round_trip_any_names(g):
+    assert parse_graph(graph_to_dot(g)) == g

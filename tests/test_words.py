@@ -4,6 +4,7 @@ from raagdecomp import (BudgetExceededError, DomainError, SimplicialGraph,
                         Word, centralizer_descriptor, cyclically_reduce,
                         equal, normal_form, parse_word, power, primitive_root,
                         retract, support, word_text)
+from raagdecomp.words import MAX_WORD_LETTERS
 
 
 def w(g, text):
@@ -24,6 +25,18 @@ class TestParsing:
     def test_malformed_token(self, p4):
         with pytest.raises(DomainError, match="malformed"):
             w(p4, "a^")
+
+    def test_length_cap_checked_before_expanding(self, p4):
+        half = MAX_WORD_LETTERS // 2
+        with pytest.raises(DomainError, match="more than %d letters"
+                           % MAX_WORD_LETTERS):
+            w(p4, "a^%d b^-%d" % (half, MAX_WORD_LETTERS - half + 1))
+
+    def test_exponent_longer_than_int_parsing_allows(self, p4):
+        # int() refuses strings of more than 4300 digits with ValueError
+        with pytest.raises(DomainError, match="more than"):
+            w(p4, "a^" + "9" * 5000)
+        assert w(p4, "a^-" + "0" * 5000 + "2").letters == (("a", -1),) * 2
 
     def test_word_text_round_trip(self, p4):
         text = "a b^-1 b^-1 d"
