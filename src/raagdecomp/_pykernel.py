@@ -105,7 +105,8 @@ def closure_canonical(data, masks, max_states):
             if len(seen) >= max_states:
                 raise BudgetExceededError(
                     "closure exceeded %d states" % max_states,
-                    dimension="max_states")
+                    dimension="max_states", consumed=len(seen) + 1,
+                    limit=max_states)
             seen.add(t)
             queue.append(t)
             if len(t) < len(best) or (len(t) == len(best) and t < best):
@@ -137,7 +138,8 @@ def closure_equal(w1, w2, masks, max_states):
                     if len(side) >= max_states:
                         raise BudgetExceededError(
                             "closure exceeded %d states" % max_states,
-                            dimension="max_states")
+                            dimension="max_states", consumed=len(side) + 1,
+                            limit=max_states)
                     side[t] = k
                     queues[k].append(t)
                 elif o != k:

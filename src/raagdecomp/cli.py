@@ -10,6 +10,7 @@ exceeded. Input files are JSON or DOT, sniffed by content; "-" reads stdin.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -31,6 +32,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, "%s: error: %s\n" % (self.prog, message))
 
 
+# building the parser costs about a millisecond per call of main;
+# every call in a process shares the first one instead
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="raagdecomp",
                      description="Structural decompositions of right-angled "

@@ -27,12 +27,17 @@ class DomainError(RaagError):
 class BudgetExceededError(RaagError):
     """A configured resource cap was hit.
 
-    `dimension` names the offending cap (e.g. "max_states").
+    `dimension` names the offending cap (e.g. "max_states"), `limit` is its
+    value and `consumed` how much of it had been counted when the operation
+    stopped, always more than `limit`. Both are None where the refusal
+    reports no counts.
     """
 
-    def __init__(self, message, dimension=None):
+    def __init__(self, message, dimension=None, consumed=None, limit=None):
         super().__init__(message)
         self.dimension = dimension
+        self.consumed = consumed
+        self.limit = limit
 
 
 class InvariantViolationError(RaagError):

@@ -273,9 +273,10 @@ def link(g, s):
     ('a', 'b', 'c', 'd')
     """
     s = _vertex_set(g, s)
-    out = [v for v in g.vertices
-           if v not in s and all(g.adjacent(v, u) for u in s)]
-    return tuple(out)
+    if not s:
+        return g.vertices
+    common = frozenset.intersection(*(g.neighbors(u) for u in s))
+    return tuple(sorted(common - s))
 
 
 def star(g, v):
@@ -468,10 +469,6 @@ def hanging_vertices(g):
     decomposition. In the one-vertex graph the lone vertex qualifies (its
     link is empty, so the neighbor condition is vacuous).
     """
-    out = []
-    for v in g.vertices:
-        if not is_clique(g, star(g, v)):
-            continue
-        if all(not is_clique(g, star(g, w)) for w in g.neighbors(v)):
-            out.append(v)
-    return tuple(out)
+    clique_star = {v: is_clique(g, star(g, v)) for v in g.vertices}
+    return tuple(v for v in g.vertices if clique_star[v] and
+                 not any(clique_star[w] for w in g.neighbors(v)))

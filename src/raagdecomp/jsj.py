@@ -231,15 +231,19 @@ def _abelian_gog(g, groups, edges):
     if len(groups) == 1:
         return _build(g, groups, edges)
     groups, edges = list(groups), list(edges)  # jsj_report shares them
+    nodes_of = {}
+    for i, grp in enumerate(groups):
+        nodes_of.setdefault(grp, []).append(i)
     for v in hanging_vertices(g):
         sv = star(g, v)
-        hits = [i for i, grp in enumerate(groups) if grp == sv]
+        hits = nodes_of.pop(sv, [])
         if len(hits) != 1:
             raise InvariantViolationError(
                 "expected exactly one node with group %s, found %d"
                 % (list(sv), len(hits)))
         i = hits[0]
         groups[i] = link(g, (v,))
+        nodes_of.setdefault(groups[i], []).append(i)
         edges.append((i, i, groups[i], v))
     return reduce(_build(g, groups, edges))
 

@@ -63,7 +63,8 @@ def brute_clique_separators(g: SimplicialGraph, budget: Optional[OracleBudget] =
         raise BudgetExceededError(
             "graph has %d vertices, budget allows %d"
             % (len(g.vertices), budget.max_vertices),
-            dimension="max_vertices")
+            dimension="max_vertices", consumed=len(g.vertices),
+            limit=budget.max_vertices)
     vset = set(g.vertices)
     hits = []
     for size in range(len(g.vertices)):
@@ -88,7 +89,8 @@ def bfs_equal(w1: Word, w2: Word, budget: Optional[OracleBudget] = None) -> bool
         raise BudgetExceededError(
             "combined word length %d exceeds 2*max_word_length=%d"
             % (combined, 2 * budget.max_word_length),
-            dimension="max_word_length")
+            dimension="max_word_length", consumed=combined,
+            limit=2 * budget.max_word_length)
     g = w1.graph
     return kernels.closure_equal(
         _encode(g, w1.letters), _encode(g, w2.letters), g.masks, budget.max_states)
@@ -148,12 +150,14 @@ def commuting_words(g: SimplicialGraph, w: Word, max_len: int,
         raise BudgetExceededError(
             "graph has %d vertices, budget allows %d"
             % (len(g.vertices), budget.max_vertices),
-            dimension="max_vertices")
+            dimension="max_vertices", consumed=len(g.vertices),
+            limit=budget.max_vertices)
     if max_len + len(w.letters) > budget.max_word_length:
         raise BudgetExceededError(
             "radius %d plus word length %d exceeds max_word_length=%d"
             % (max_len, len(w.letters), budget.max_word_length),
-            dimension="max_word_length")
+            dimension="max_word_length", consumed=max_len + len(w.letters),
+            limit=budget.max_word_length)
     masks = g.masks
     wc = _encode(g, w.letters)
     out = []
@@ -171,7 +175,7 @@ def exhaustive_graphs(n: int):
     if n > 7:
         raise BudgetExceededError(
             "exhaustive enumeration is capped at 7 vertices, got %d" % n,
-            dimension="n")
+            dimension="n", consumed=n, limit=7)
     names = tuple("abcdefg"[:n])
     pairs = list(combinations(names, 2))
     for bits in range(1 << len(pairs)):

@@ -10,12 +10,14 @@ inverse, generators in sorted name order; all determinism downstream leans
 on that order.
 """
 
+from bisect import insort
 from dataclasses import dataclass
+from itertools import compress
 import re
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Tuple
 
 from . import kernels
-from .errors import BudgetExceededError, DomainError, InvariantViolationError
+from .errors import BudgetExceededError, DomainError
 from .graphs import (SimplicialGraph, induced_subgraph, join_factors, link,
                      _vertex_set)
 
@@ -173,22 +175,67 @@ def _first_movable(codes: bytes, masks) -> dict:
     return out
 
 
-def _movable_pair(codes: bytes, masks) -> Optional[Tuple[int, int, int]]:
-    """Least letter x with x shufflable to the front and x^-1 to the rear,
-    as (code, front position, rear position); None when cyclically reduced."""
-    front = _first_movable(codes, masks)
-    rear = _first_movable(bytes(reversed(codes)), masks)
-    best = None
-    for x, i in front.items():
-        jr = rear.get(x ^ 1)
-        if jr is None:
-            continue
-        j = len(codes) - 1 - jr
-        if best is None or x < best[0]:
-            best = (x, i, j)
-    if best is not None and best[1] >= best[2]:
-        raise InvariantViolationError("conjugation pair positions crossed")
-    return best
+def _unblocked(order, block, full) -> int:
+    """Bitmask of the generators in `order` (pairs (key, generator), first
+    letter first) that no earlier generator in it blocks."""
+    out = bad = 0
+    for _, g in order:
+        if not (bad >> g) & 1:
+            out |= 1 << g
+        bad |= block[g]
+        if bad == full:
+            break
+    return out
+
+
+def _peel(codes: bytes, masks) -> Tuple[bytes, bytes]:
+    """Peel conjugating pairs off a geodesic spelling.
+
+    Repeatedly takes the least letter x that can be shuffled to the front
+    while x^-1 can be shuffled to the rear, and drops both. Returns
+    (rest, conjugator): the remaining letters in their order, a geodesic
+    spelling (not the normal form) of conjugator^-1 * codes * conjugator,
+    and the peeled letters x in order.
+
+    Which letters a geodesic spelling can start or end with depends only
+    on the element, so every pair can be peeled off this one spelling.
+    Such a pair is the first and the last letter on one generator; the
+    positions of each generator's letters form a pile, peeling pops both
+    ends of one pile, and the generators are kept sorted by their first
+    and by their last remaining position. Each pair costs O(k) for k
+    generators, the whole peel O(|codes| + k * pairs).
+    """
+    full = (1 << len(masks)) - 1
+    block = [full & ~m for m in masks]  # non-neighbours and the generator
+    piles = [[] for _ in masks]
+    for p, x in enumerate(codes):
+        piles[x >> 1].append(p)
+    lo = [0] * len(piles)
+    hi = [len(pile) - 1 for pile in piles]
+    heads = sorted((pile[0], g) for g, pile in enumerate(piles) if pile)
+    tails = sorted((-pile[-1], g) for g, pile in enumerate(piles) if pile)
+    alive = bytearray(b"\x01") * len(codes)
+    conj = bytearray()
+    while True:
+        both = _unblocked(heads, block, full) & _unblocked(tails, block, full)
+        while both:
+            g = (both & -both).bit_length() - 1
+            first, last = piles[g][lo[g]], piles[g][hi[g]]
+            if codes[first] == codes[last] ^ 1:
+                break
+            both &= both - 1
+        else:  # no generator offers a pair: cyclically reduced
+            break
+        conj.append(codes[first])
+        alive[first] = alive[last] = 0
+        heads.remove((first, g))
+        tails.remove((-last, g))
+        lo[g] += 1
+        hi[g] -= 1
+        if lo[g] <= hi[g]:
+            insort(heads, (piles[g][lo[g]], g))
+            insort(tails, (-piles[g][hi[g]], g))
+    return bytes(compress(codes, alive)), bytes(conj)
 
 
 def cyclically_reduce(w: Word) -> Tuple[NormalForm, Word]:
@@ -196,20 +243,16 @@ def cyclically_reduce(w: Word) -> Tuple[NormalForm, Word]:
 
     Returns (reduced, conjugator) with reduced equal to
     conjugator^-1 * w * conjugator; the reduced form has minimal length and
-    minimal support over the whole conjugacy class.
+    minimal support over the whole conjugacy class. The word is
+    canonicalized once, the conjugator peeled off that spelling in
+    O(k * |w|) for k generators, and what remains canonicalized once more.
     """
     masks = w.graph.masks
-    cur = _canonical_codes(w)
-    conj = bytearray()
-    while True:
-        pair = _movable_pair(cur, masks)
-        if pair is None:
-            break
-        x, i, j = pair
-        conj.append(x)
-        cur = kernels.canonicalize(cur[:i] + cur[i + 1:j] + cur[j + 1:], masks)
-    return (NormalForm(w.graph, _decode(w.graph, cur)),
-            Word(w.graph, _decode(w.graph, bytes(conj))))
+    rest, conj = _peel(_canonical_codes(w), masks)
+    if conj:
+        rest = kernels.canonicalize(rest, masks)
+    return (NormalForm(w.graph, _decode(w.graph, rest)),
+            Word(w.graph, _decode(w.graph, conj)))
 
 
 def _divisors_descending(n: int):
@@ -219,28 +262,47 @@ def _divisors_descending(n: int):
 def _length_m_prefixes(codes: bytes, m: int, masks, cap: int):
     """Distinct length-m prefixes over all linearizations of a reduced word.
 
-    Walks the choice tree of front-movable letters; each visited node counts
-    against `cap`.
+    The choice tree takes one front-movable letter off what remains at each
+    node, down to depth m. More than `cap` nodes raises BudgetExceededError
+    before any prefix is listed. A subtree depends only on the letters that
+    remain, and one remainder is reached along many paths, so the tree is
+    walked once per distinct remainder, level by level: its nodes are
+    counted bottom-up, then its prefixes collected the same way. At most
+    `cap` remainders are held, since each is a node of its own.
     """
-    results = set()
-    spent = 0
-    # depth-first, least letter first; the tree is as deep as m
-    stack = [(codes, b"")]
-    while stack:
-        rest, prefix = stack.pop()
-        spent += 1
-        if spent > cap:
-            raise BudgetExceededError(
-                "linearization enumeration exceeded %d steps" % cap,
-                dimension="max_linearizations")
-        if len(prefix) == m:
-            results.add(prefix)
-            continue
-        movable = _first_movable(rest, masks)
-        for x in sorted(movable, reverse=True):
-            p = movable[x]
-            stack.append((rest[:p] + rest[p + 1:], prefix + bytes((x,))))
-    return results
+    def refuse(consumed):
+        return BudgetExceededError(
+            "linearization enumeration exceeded %d steps" % cap,
+            dimension="max_linearizations", consumed=consumed, limit=cap)
+
+    # levels[d]: remainder at depth d -> its (letter, child remainder) pairs
+    levels = [{codes: ()}]
+    seen = 1  # distinct remainders, each at least one node
+    for _ in range(m):
+        below = {}
+        for rest in levels[-1]:
+            kids = []
+            for x, p in _first_movable(rest, masks).items():
+                child = rest[:p] + rest[p + 1:]
+                kids.append((x, child))
+                if child not in below:
+                    below[child] = ()
+                    seen += 1
+                    if seen > cap:
+                        raise refuse(seen)
+            levels[-1][rest] = kids
+        levels.append(below)
+    nodes = dict.fromkeys(levels[-1], 1)
+    for level in reversed(levels[:-1]):
+        nodes = {rest: 1 + sum(nodes[c] for _, c in kids)
+                 for rest, kids in level.items()}
+    if nodes[codes] > cap:
+        raise refuse(nodes[codes])
+    prefixes = dict.fromkeys(levels[-1], (b"",))
+    for level in reversed(levels[:-1]):
+        prefixes = {rest: {bytes((x,)) + p for x, c in kids for p in prefixes[c]}
+                    for rest, kids in level.items()}
+    return prefixes[codes]
 
 
 def primitive_root(w, max_linearizations: int = 100_000) -> Tuple[NormalForm, int]:
@@ -257,7 +319,7 @@ def primitive_root(w, max_linearizations: int = 100_000) -> Tuple[NormalForm, in
     codes = _canonical_codes(w)
     if not codes:
         raise DomainError("primitive_root requires a nontrivial word")
-    if _movable_pair(codes, masks) is not None:
+    if _peel(codes, masks)[1]:
         raise DomainError("primitive_root requires a cyclically reduced word")
     supp = support(w)
     if len(join_factors(induced_subgraph(g, supp))) > 1:

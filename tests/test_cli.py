@@ -194,3 +194,14 @@ class TestTopLevel:
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+    def test_repeated_calls_share_one_parser(self, capsys, p4_file):
+        good = ("element", p4_file, "--word", "a c a^-1", "--op", "cyclic")
+        first = run(capsys, *good)
+        assert first[0] == 0
+        bad = run(capsys, "element", p4_file, "--op", "cube")
+        assert bad[0] == 1 and "invalid choice" in bad[2]
+        assert run(capsys, *good) == first
+        assert run(capsys, "jsj", p4_file, "--mode", "abelian")[0] == 0
+        assert run(capsys, "element", p4_file)[0] == 1
+        assert run(capsys, *good) == first

@@ -51,6 +51,7 @@ class TestPureKernel:
         with pytest.raises(BudgetExceededError) as info:
             _pykernel.closure_canonical(bytes((0, 2, 4, 0, 2, 4)), masks, 3)
         assert info.value.dimension == "max_states"
+        assert (info.value.consumed, info.value.limit) == (4, 3)
 
 
 class TestDispatch:

@@ -71,12 +71,14 @@ class TestBfsEqual:
         with pytest.raises(BudgetExceededError) as info:
             bfs_equal(long, long)
         assert info.value.dimension == "max_word_length"
+        assert (info.value.consumed, info.value.limit) == (14, 12)
 
     def test_state_budget(self, k3):
         tight = OracleBudget(max_states=2)
         with pytest.raises(BudgetExceededError) as info:
             bfs_equal(parse_word(k3, "a b c"), parse_word(k3, "c b a"), tight)
         assert info.value.dimension == "max_states"
+        assert (info.value.consumed, info.value.limit) == (3, 2)
 
 
 class TestEnumeratedBall:

@@ -100,6 +100,55 @@ def test_cyclic_reduction_is_a_conjugation(gw):
     assert set(support(red.word)) <= set(support(w))
 
 
+def _front_movable(codes, masks):
+    """Letter -> position of each letter that can be shuffled to the front."""
+    out = {}
+    for p, x in enumerate(codes):
+        gen = x >> 1
+        if all(y >> 1 != gen and (masks[gen] >> (y >> 1)) & 1
+               for y in codes[:p]):
+            out[x] = p
+    return out
+
+
+def _recanonicalizing_reduce(w):
+    """Cyclic reduction that canonicalizes the whole word again after
+    every peeled pair: the least letter x shufflable to the front whose
+    inverse is shufflable to the rear."""
+    masks = w.graph.masks
+    cur = kernels.canonicalize(_encode(w.graph, w.letters), masks)
+    conj = bytearray()
+    while True:
+        front = _front_movable(cur, masks)
+        rear = _front_movable(cur[::-1], masks)
+        pairs = [(x, i, len(cur) - 1 - rear[x ^ 1])
+                 for x, i in front.items() if x ^ 1 in rear]
+        if not pairs:
+            return cur, bytes(conj)
+        x, i, j = min(pairs)
+        conj.append(x)
+        cur = kernels.canonicalize(cur[:i] + cur[i + 1:j] + cur[j + 1:], masks)
+
+
+@st.composite
+def conjugated_words(draw):
+    """u * core * u^-1 for random u and core, so that pairs peel off."""
+    g, core = draw(graph_words(max_len=6))
+    length = draw(st.integers(min_value=0, max_value=10))
+    u = Word(g, tuple(
+        (draw(st.sampled_from(g.vertices)), draw(st.sampled_from((1, -1))))
+        for _ in range(length)))
+    return g, u * core * u.inverse()
+
+
+@given(st.one_of(graph_words(max_len=12), conjugated_words()))
+def test_cyclic_reduction_matches_recanonicalizing_loop(gw):
+    g, w = gw
+    red, conj = cyclically_reduce(w)
+    cur, peeled = _recanonicalizing_reduce(w)
+    assert (_encode(g, red.letters), _encode(g, conj.letters)) == (cur, peeled)
+
+
 @given(graph_words(max_n=4, max_len=5))
 @settings(deadline=None)
 def test_centralizer_members_commute(gw):

@@ -4,7 +4,7 @@ from raagdecomp import (BudgetExceededError, DomainError, SimplicialGraph,
                         Word, centralizer_descriptor, cyclically_reduce,
                         equal, normal_form, parse_word, power, primitive_root,
                         retract, support, word_text)
-from raagdecomp.words import MAX_WORD_LETTERS
+from raagdecomp.words import MAX_WORD_LETTERS, _encode
 
 
 def w(g, text):
@@ -169,6 +169,37 @@ class TestPrimitiveRoot:
         with pytest.raises(BudgetExceededError) as info:
             primitive_root(w(p4, "a c a c"), max_linearizations=2)
         assert info.value.dimension == "max_linearizations"
+        assert (info.value.consumed, info.value.limit) == (3, 2)
+
+    def test_budget_boundary_is_the_choice_tree_size(self, p4):
+        # a primitive word tries every divisor exponent; the budget caps the
+        # largest choice tree among them, counted here path by path
+        word = w(p4, "a b c b d c a d b c d c")
+        codes = _encode(p4, normal_form(word).letters)
+        n = len(codes)
+        sizes = [_choice_tree_size(codes, n // k, p4.masks)
+                 for k in range(n, 1, -1) if n % k == 0]
+        assert sizes == [3, 7, 14, 27, 65]
+        root, k = primitive_root(word, max_linearizations=65)
+        assert (str(root), k) == ("a b b c c d a c c d b d", 1)
+        with pytest.raises(BudgetExceededError) as info:
+            primitive_root(word, max_linearizations=64)
+        assert str(info.value) == "linearization enumeration exceeded 64 steps"
+        assert (info.value.consumed, info.value.limit) == (65, 64)
+
+
+def _choice_tree_size(codes, m, masks):
+    """Nodes of the tree that takes a front-movable letter off the word at
+    each node down to depth m, walking every path."""
+    if m == 0:
+        return 1
+    size = 1
+    for p, x in enumerate(codes):
+        gen = x >> 1
+        if all(y >> 1 != gen and (masks[gen] >> (y >> 1)) & 1
+               for y in codes[:p]):
+            size += _choice_tree_size(codes[:p] + codes[p + 1:], m - 1, masks)
+    return size
 
 
 class TestCentralizer:
