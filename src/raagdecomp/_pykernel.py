@@ -17,6 +17,7 @@ adjacent to generator `i` (never including `i` itself).
 """
 
 from collections import deque
+import functools
 
 from .errors import BudgetExceededError
 
@@ -73,18 +74,27 @@ def canonicalize(data, masks):
     return bytes(out)
 
 
-def _moves(s, masks):
-    out = []
-    for i in range(len(s) - 1):
-        a = s[i]
-        b = s[i + 1]
-        if a == (b ^ 1):
-            out.append(s[:i] + s[i + 2:])
-        ga = a >> 1
-        gb = b >> 1
-        if ga != gb and (masks[ga] >> gb) & 1:
-            out.append(s[:i] + bytes((b, a)) + s[i + 2:])
-    return out
+@functools.lru_cache(maxsize=64)
+def _move_table(masks):
+    """`table[x][y]`: what the adjacent letters x y become under the one
+    elementary move that applies to them: b"" when they cancel, the
+    swapped pair when they commute, None when neither does. Built once per
+    `masks` tuple and cached, so a visited state costs one lookup per
+    adjacent pair."""
+    size = 2 * len(masks)
+    table = []
+    for x in range(size):
+        row = []
+        for y in range(size):
+            gx, gy = x >> 1, y >> 1
+            if x == y ^ 1:
+                row.append(b"")
+            elif gx != gy and (masks[gx] >> gy) & 1:
+                row.append(bytes((y, x)))
+            else:
+                row.append(None)
+        table.append(tuple(row))
+    return tuple(table)
 
 
 def closure_canonical(data, masks, max_states):
@@ -94,12 +104,19 @@ def closure_canonical(data, masks, max_states):
     independent (and much slower) route to the same canonical form that
     `canonicalize` computes.
     """
+    table = _move_table(tuple(masks))
     start = bytes(data)
     seen = {start}
     queue = deque((start,))
     best = start
     while queue:
-        for t in _moves(queue.popleft(), masks):
+        s = queue.popleft()
+        # the moves of s, left to right: one per adjacent pair at most
+        for i in range(len(s) - 1):
+            rep = table[s[i]][s[i + 1]]
+            if rep is None:
+                continue
+            t = s[:i] + rep + s[i + 2:]
             if t in seen:
                 continue
             if len(seen) >= max_states:
@@ -126,13 +143,19 @@ def closure_equal(w1, w2, masks, max_states):
     b = bytes(w2)
     if a == b:
         return True
+    table = _move_table(tuple(masks))
     side = {a: 0, b: 1}
     queues = (deque((a,)), deque((b,)))
     while queues[0] or queues[1]:
         for k in (0, 1):
             if not queues[k]:
                 continue
-            for t in _moves(queues[k].popleft(), masks):
+            s = queues[k].popleft()
+            for i in range(len(s) - 1):
+                rep = table[s[i]][s[i + 1]]
+                if rep is None:
+                    continue
+                t = s[:i] + rep + s[i + 2:]
                 o = side.get(t)
                 if o is None:
                     if len(side) >= max_states:

@@ -7,7 +7,9 @@ forms, centralizers, splittings) consumes the operations in this module.
 Vertex sets are passed around as canonically sorted tuples of vertex names;
 the sorted name order is also the total order used for every tie-break in
 the package. Component lists and factor lists are sorted by their smallest
-member.
+member. Component, clique and separator questions are answered on vertex
+bitmasks, bit i standing for the i-th vertex in that order
+(`SimplicialGraph.masks` holds each vertex's neighbours so).
 
 >>> g = parse_graph('{"vertices": ["a", "b", "c", "d"], '
 ...                 '"edges": [["a", "b"], ["b", "c"], ["c", "d"]]}')
@@ -78,7 +80,8 @@ class SimplicialGraph:
 
     @property
     def masks(self):
-        # adjacency bitmasks in sorted-vertex order, for the kernels
+        # adjacency bitmasks in sorted-vertex order, for the kernels and
+        # the component and clique searches
         if self._masks is None:
             idx = self._index
             self._masks = tuple(
@@ -286,33 +289,101 @@ def star(g, v):
     return tuple(sorted(set(g.neighbors(v)) | {v}))
 
 
-def _components_within(g, sub):
-    """Connected components of the full subgraph on `sub` (a set)."""
-    sub = set(sub)
-    comps = []
-    while sub:
-        root = min(sub)
-        comp = {root}
-        frontier = [root]
+def _vertex_mask(g, s):
+    """Bitmask of the vertex set `s`: bit i stands for the i-th vertex in
+    sorted order, as in `SimplicialGraph.masks`."""
+    idx = g._index
+    m = 0
+    missing = []
+    for v in s:
+        i = idx.get(v)
+        if i is None:
+            missing.append(v)
+        else:
+            m |= 1 << i
+    if missing:
+        _vertex_set(g, missing)  # raises, naming them
+    return m
+
+
+def _names(vs, m):
+    """The names of the bits of `m`, in sorted order; walks the set bits
+    only, so a sparse mask costs its size, not the graph's."""
+    out = []
+    while m:
+        b = m & -m
+        out.append(vs[b.bit_length() - 1])
+        m ^= b
+    return tuple(out)
+
+
+def _reach(masks, seed, allowed):
+    """Bitmask of the component of the subgraph on `allowed` that holds
+    the vertex `seed` (a single bit of `allowed`). Each reached vertex's
+    neighbour mask is OR-ed in once, when it joins the frontier."""
+    left = allowed ^ seed
+    frontier = seed
+    while frontier and left:
+        grow = 0
         while frontier:
-            x = frontier.pop()
-            for y in g.neighbors(x):
-                if y in sub and y not in comp:
-                    comp.add(y)
-                    frontier.append(y)
-        sub -= comp
-        comps.append(frozenset(comp))
-    return sorted(comps, key=min)
+            b = frontier & -frontier
+            grow |= masks[b.bit_length() - 1]
+            frontier ^= b
+        frontier = grow & left
+        left ^= frontier
+    return allowed ^ left
+
+
+def _splits(masks, allowed):
+    """True when the subgraph on `allowed` has two or more components.
+    Stops after the first component."""
+    return bool(allowed) and _reach(masks, allowed & -allowed, allowed) != allowed
+
+
+def _component_masks(masks, allowed):
+    """Components of the subgraph on `allowed`, as bitmasks in order of
+    least vertex."""
+    comps = []
+    while allowed:
+        comp = _reach(masks, allowed & -allowed, allowed)
+        comps.append(comp)
+        allowed ^= comp
+    return comps
+
+
+def _clique_mask(masks, m):
+    """True when the vertices of `m` are pairwise adjacent: each member's
+    neighbours together with itself cover `m`."""
+    rest = m
+    while rest:
+        b = rest & -rest
+        if m & ~masks[b.bit_length() - 1] != b:
+            return False
+        rest ^= b
+    return True
+
+
+def _full_mask(g):
+    return (1 << len(g.vertices)) - 1
+
+
+def _components_within(g, sub):
+    """Connected components of the full subgraph on `sub` (a set), as
+    frozensets sorted by least member."""
+    vs = g.vertices
+    return [frozenset(_names(vs, c))
+            for c in _component_masks(g.masks, _vertex_mask(g, sub))]
 
 
 def connected_components(g):
     """Components as sorted tuples, ordered by smallest member; these are
     the free factors of the group."""
-    return [tuple(sorted(c)) for c in _components_within(g, g.vertices)]
+    vs = g.vertices
+    return [_names(vs, c) for c in _component_masks(g.masks, _full_mask(g))]
 
 
 def is_connected(g):
-    return len(_components_within(g, g.vertices)) <= 1
+    return not _splits(g.masks, _full_mask(g))
 
 
 def join_factors(g):
@@ -343,12 +414,11 @@ def join_factors(g):
 def is_clique(g, s):
     """True when every two members of `s` are adjacent (so the standard
     subgroup on `s` is free abelian). Sets of size at most one count."""
-    s = sorted(_vertex_set(g, s))
-    return all(g.adjacent(u, v) for i, u in enumerate(s) for v in s[i + 1:])
+    return _clique_mask(g.masks, _vertex_mask(g, s))
 
 
 def is_complete(g):
-    return is_clique(g, g.vertices)
+    return _clique_mask(g.masks, _full_mask(g))
 
 
 def _mcs_m(g):
@@ -419,15 +489,17 @@ def clique_separator_candidates(g):
     clique separators produces, since those are clique minimal separators
     of `g` as well.
     """
-    vs = g.vertices
-    vset = frozenset(vs)
+    masks = g.masks
+    full = _full_mask(g)
     found = set()
     for later in _mcs_m(g):
-        s = frozenset(vs[i] for i in later)
-        if s and s not in found and is_clique(g, s) and \
-                len(_components_within(g, vset - s)) >= 2:
+        s = 0
+        for i in later:
+            s |= 1 << i
+        if s and s not in found and _clique_mask(masks, s) and \
+                _splits(masks, full ^ s):
             found.add(s)
-    return sorted((tuple(sorted(s)) for s in found),
+    return sorted((_names(g.vertices, s) for s in found),
                   key=lambda t: (len(t), t))
 
 
@@ -469,6 +541,10 @@ def hanging_vertices(g):
     decomposition. In the one-vertex graph the lone vertex qualifies (its
     link is empty, so the neighbor condition is vacuous).
     """
-    clique_star = {v: is_clique(g, star(g, v)) for v in g.vertices}
-    return tuple(v for v in g.vertices if clique_star[v] and
-                 not any(clique_star[w] for w in g.neighbors(v)))
+    masks = g.masks
+    clique_star = 0
+    for i, m in enumerate(masks):
+        if _clique_mask(masks, m | 1 << i):
+            clique_star |= 1 << i
+    return tuple(v for i, v in enumerate(g.vertices)
+                 if clique_star >> i & 1 and not masks[i] & clique_star)

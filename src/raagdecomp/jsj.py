@@ -8,13 +8,15 @@ bytes.
 """
 
 from dataclasses import dataclass, replace
+import heapq
 from typing import List, Optional, Tuple
 
 from .errors import DomainError, InvariantViolationError, RaagError
-from .graphs import (SimplicialGraph, _components_within,
-                     clique_separator_candidates, clique_separators,
-                     hanging_vertices, induced_subgraph, is_clique,
-                     is_connected, link, star, _vertex_set)
+from .graphs import (SimplicialGraph, _clique_mask, _component_masks,
+                     _components_within, _full_mask, _names, _splits,
+                     _vertex_mask, _vertex_set, clique_separator_candidates,
+                     clique_separators, hanging_vertices, induced_subgraph,
+                     is_clique, is_connected, link, star)
 
 
 @dataclass(frozen=True)
@@ -103,17 +105,17 @@ def amalgam_split(g: SimplicialGraph, k) -> GraphOfGroups:
     return _build(g, groups, edges)
 
 
-def _attach_index(groups, start, count, kset):
+def _attach_index(groups, bits, start, count, k, kmask):
     """Index of the attachment node inside a glued subtree: among groups
     containing the separator, the lexicographically least group wins."""
     best = None
     for i in range(start, start + count):
-        if kset <= set(groups[i]):
+        if bits[i] & kmask == kmask:
             if best is None or groups[i] < groups[best]:
                 best = i
     if best is None:
         raise InvariantViolationError(
-            "no subtree node group contains the separator %s" % (sorted(kset),))
+            "no subtree node group contains the separator %s" % (list(k),))
     return best
 
 
@@ -134,49 +136,54 @@ def _split_tree(g):
     pieces of consecutive components are joined at their lexicographically
     least group containing the separator. An explicit stack takes the
     pieces depth first, so the depth of the tree costs no recursion.
+    Pieces and separators are vertex bitmasks (see `graphs._reach`).
     """
-    candidates = [(k, frozenset(k)) for k in clique_separator_candidates(g)]
+    masks = g.masks
+    candidates = [(k, _vertex_mask(g, k)) for k in clique_separator_candidates(g)]
     groups: list = []
+    bits: list = []  # the bitmask of each group
     edges: list = []
     used: list = []
     # a piece is (vertices, first candidate to try, the group offsets of its
     # split); the split itself, (separator, None, offsets), is taken after
     # all its pieces, when it joins them
-    stack = [(frozenset(g.vertices), 0, None)]
+    stack = [(_full_mask(g), 0, None)]
     while stack:
         part, first, offsets = stack.pop()
         if first is None:
-            k, kset = part
+            k, kmask = part
             ends = offsets[1:] + [len(groups)]
             for i in range(len(offsets) - 1):
-                a = _attach_index(groups, offsets[i], ends[i] - offsets[i], kset)
-                b = _attach_index(groups, offsets[i + 1],
-                                  ends[i + 1] - offsets[i + 1], kset)
+                a = _attach_index(groups, bits, offsets[i],
+                                  ends[i] - offsets[i], k, kmask)
+                b = _attach_index(groups, bits, offsets[i + 1],
+                                  ends[i + 1] - offsets[i + 1], k, kmask)
                 edges.append((a, b, k, None))
             continue
         if offsets is not None:
             offsets.append(len(groups))
-        pos = _first_split(g, part, candidates, first)
+        pos = _first_split(masks, part, candidates, first)
         if pos is None:
-            groups.append(tuple(sorted(part)))
+            groups.append(_names(g.vertices, part))
+            bits.append(part)
             continue
-        k, kset = candidates[pos]
+        k, kmask = candidates[pos]
         used.append(k)
         mine: list = []
-        stack.append(((k, kset), None, mine))
-        for comp in reversed(_components_within(g, part - kset)):
-            stack.append((kset | comp, pos + 1, mine))
+        stack.append(((k, kmask), None, mine))
+        for comp in reversed(_component_masks(masks, part & ~kmask)):
+            stack.append((kmask | comp, pos + 1, mine))
     return groups, edges, used
 
 
-def _first_split(g, piece, candidates, first):
+def _first_split(masks, piece, candidates, first):
     """Index of the first candidate from `first` on that lies inside
     `piece` and disconnects it, or None; complete pieces never split."""
-    if is_clique(g, piece):
+    if _clique_mask(masks, piece):
         return None
     for pos in range(first, len(candidates)):
-        kset = candidates[pos][1]
-        if kset <= piece and len(_components_within(g, piece - kset)) >= 2:
+        kmask = candidates[pos][1]
+        if piece | kmask == piece and _splits(masks, piece ^ kmask):
             return pos
     return None
 
@@ -251,35 +258,66 @@ def _abelian_gog(g, groups, edges):
 def reduce(gog: GraphOfGroups) -> GraphOfGroups:
     """Contract non-loop edges whose group equals an endpoint group, lowest
     edge id first, until none remain; incident edges and loops are re-homed
-    onto the surviving endpoint."""
+    onto the surviving endpoint.
+
+    Node groups never change, so an edge can become contractible only when
+    one of its endpoints is contracted away. A heap holds the contractible
+    edge ids (each checked again when popped) and every node lists its
+    non-loop edges, so a contraction revisits only the edges of the node
+    it removes. An edge keeps its original ends; `home` follows a removed
+    node to the node that absorbed it.
+    """
     groups = {n.id: n.group for n in gog.nodes}
-    edges = {e.id: [e.ends[0], e.ends[1], e.group, e.stable_letter]
+    edges = {e.id: (e.ends[0], e.ends[1], e.group, e.stable_letter)
              for e in gog.edges}
-    while True:
-        target = None
-        for eid in sorted(edges):
-            a, b, grp, _ = edges[eid]
-            if a == b:
-                continue
-            if grp == groups[a]:
-                target = (eid, a, b)
-                break
-            if grp == groups[b]:
-                target = (eid, b, a)
-                break
-        if target is None:
-            break
-        eid, dead, kept = target
+    absorbed = {}  # removed node -> the node it was contracted into
+
+    def home(x):
+        root = x
+        while root in absorbed:
+            root = absorbed[root]
+        while x != root:
+            absorbed[x], x = root, absorbed[x]
+        return root
+
+    def contraction(eid):
+        """(removed, kept) ends of a contractible edge, else None."""
+        a, b, grp, _ = edges[eid]
+        a, b = home(a), home(b)
+        if a == b:
+            return None
+        if grp == groups[a]:
+            return a, b
+        if grp == groups[b]:
+            return b, a
+        return None
+
+    incident = {n.id: [] for n in gog.nodes}
+    for eid, (a, b, _, _) in edges.items():
+        if a != b:
+            incident[a].append(eid)
+            incident[b].append(eid)
+    heap = [eid for eid in edges if contraction(eid)]
+    heapq.heapify(heap)
+    while heap:
+        eid = heapq.heappop(heap)
+        if eid not in edges:
+            continue
+        ends = contraction(eid)
+        if ends is None:
+            continue
+        dead, kept = ends
         del edges[eid]
         del groups[dead]
-        for rec in edges.values():
-            if rec[0] == dead:
-                rec[0] = kept
-            if rec[1] == dead:
-                rec[1] = kept
+        absorbed[dead] = kept
+        moved = [f for f in incident.pop(dead) if f in edges]
+        incident[kept].extend(moved)
+        for f in moved:
+            if contraction(f):
+                heapq.heappush(heap, f)
     order = {old: new for new, old in enumerate(sorted(groups))}
     out_groups = [groups[old] for old in sorted(groups)]
-    out_edges = [(order[a], order[b], grp, st)
+    out_edges = [(order[home(a)], order[home(b)], grp, st)
                  for _, (a, b, grp, st) in sorted(edges.items())]
     return _build(gog.base, out_groups, out_edges)
 
@@ -370,8 +408,8 @@ def validate(gog: GraphOfGroups, abelian: bool = False) -> List[CheckResult]:
         for e in gog.edges:
             if not is_clique(base, e.group):
                 return "edge %d group is not a clique" % e.id
-            left = set(base.vertices) - set(e.group)
-            if len(_components_within(base, left)) < 2:
+            left = _full_mask(base) & ~_vertex_mask(base, e.group)
+            if not _splits(base.masks, left):
                 return "edge %d group does not disconnect the graph" % e.id
         return ""
 

@@ -15,7 +15,7 @@ from typing import List, Optional
 
 from . import kernels
 from .errors import BudgetExceededError, DomainError
-from .graphs import SimplicialGraph, _components_within, is_clique, is_connected
+from .graphs import SimplicialGraph
 from .words import NormalForm, Word, _decode, _encode, _same_graph
 
 _ENV_VAR = "RAAGDECOMP_ORACLE_BUDGET"
@@ -52,12 +52,35 @@ def default_budget() -> OracleBudget:
     return OracleBudget.from_env()
 
 
+def _component_count(g, sub):
+    """Number of components of the full subgraph on the vertex set `sub`,
+    by a search over vertex names; the production graph layer answers the
+    same question on bitmasks, and the oracle must not share that code."""
+    rest = set(sub)
+    count = 0
+    while rest:
+        count += 1
+        frontier = [rest.pop()]
+        while frontier:
+            for y in g.neighbors(frontier.pop()):
+                if y in rest:
+                    rest.remove(y)
+                    frontier.append(y)
+    return count
+
+
+def _is_clique(g, s):
+    """True when every two members of `s` are adjacent."""
+    s = sorted(s)
+    return all(g.adjacent(u, v) for i, u in enumerate(s) for v in s[i + 1:])
+
+
 def brute_clique_separators(g: SimplicialGraph, budget: Optional[OracleBudget] = None):
     """Inclusion-minimal disconnecting cliques by trying every subset."""
     budget = budget or default_budget()
     if not g.vertices:
         return []
-    if not is_connected(g):
+    if _component_count(g, g.vertices) > 1:
         raise DomainError("brute_clique_separators requires a connected graph")
     if len(g.vertices) > budget.max_vertices:
         raise BudgetExceededError(
@@ -70,9 +93,9 @@ def brute_clique_separators(g: SimplicialGraph, budget: Optional[OracleBudget] =
     for size in range(len(g.vertices)):
         for comb in combinations(g.vertices, size):
             s = set(comb)
-            if not is_clique(g, s):
+            if not _is_clique(g, s):
                 continue
-            if len(_components_within(g, vset - s)) >= 2:
+            if _component_count(g, vset - s) >= 2:
                 hits.append(frozenset(s))
     minimal = [s for s in hits if not any(t < s for t in hits)]
     return sorted((tuple(sorted(s)) for s in minimal), key=lambda t: (len(t), t))

@@ -46,6 +46,15 @@ class TestPureKernel:
         assert _pykernel.closure_equal(bytes((0, 2)), bytes((2, 0)), masks, 100)
         assert not _pykernel.closure_equal(bytes((0,)), bytes((2,)), masks, 100)
 
+    def test_closures_of_empty_and_one_letter_words(self):
+        masks = (0b10, 0b01)
+        for word in (b"", bytes((0,)), bytes((3,))):
+            assert _pykernel.closure_canonical(word, masks, 1) == word
+            assert _pykernel.closure_equal(word, word, masks, 1)
+        assert not _pykernel.closure_equal(b"", bytes((0,)), masks, 2)
+        assert not _pykernel.closure_equal(bytes((0,)), bytes((1,)), masks, 2)
+        assert _pykernel.closure_equal(b"", bytes((0, 1)), masks, 3)
+
     def test_budget_raises(self):
         masks = (0b110, 0b101, 0b011)
         with pytest.raises(BudgetExceededError) as info:

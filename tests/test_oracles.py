@@ -1,3 +1,5 @@
+import inspect
+
 import pytest
 
 from raagdecomp import (BudgetExceededError, DomainError, OracleBudget,
@@ -38,6 +40,14 @@ class TestBruteSeparators:
             for g in exhaustive_graphs(n):
                 if is_connected(g):
                     assert brute_clique_separators(g) == clique_separators(g)
+
+    def test_shares_no_graph_layer_function(self):
+        # the oracle answers its component and clique questions itself, so
+        # a fault in the graph layer cannot make both sides agree on it
+        from raagdecomp import graphs, oracles
+        layer = {id(f) for f in vars(graphs).values() if inspect.isfunction(f)}
+        assert [name for name, f in vars(oracles).items()
+                if id(f) in layer] == []
 
     def test_rejects_disconnected(self):
         with pytest.raises(DomainError, match="connected"):

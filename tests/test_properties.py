@@ -1,10 +1,16 @@
-from hypothesis import given, settings, strategies as st
+from collections import deque
 
-from raagdecomp import (SimplicialGraph, Word, bfs_equal,
-                        centralizer_descriptor, cyclically_reduce, equal,
-                        graph_to_dot, normal_form, parse_graph, power,
-                        support, word_text)
+from hypothesis import given, settings, strategies as st
+import pytest
+
+from raagdecomp import (BudgetExceededError, DomainError, SimplicialGraph,
+                        Word, bfs_equal, centralizer_descriptor,
+                        connected_components, cyclically_reduce, equal,
+                        graph_to_dot, is_clique, is_connected, normal_form,
+                        parse_graph, power, reduce, support, word_text)
 from raagdecomp import kernels, _pykernel
+from raagdecomp.graphs import _components_within, _splits, _vertex_mask
+from raagdecomp.jsj import _build
 from raagdecomp.words import _encode
 
 
@@ -186,3 +192,231 @@ def named_graphs(draw):
 @given(named_graphs())
 def test_dot_round_trip_any_names(g):
     assert parse_graph(graph_to_dot(g)) == g
+
+
+# --- the graph layer's bitmask searches against plain set searches -------
+
+
+def _set_components(g, sub):
+    """Components of the subgraph on `sub` by a search over name sets,
+    sorted by least member."""
+    sub = set(sub)
+    comps = []
+    while sub:
+        root = min(sub)
+        comp = {root}
+        frontier = [root]
+        while frontier:
+            for y in g.neighbors(frontier.pop()):
+                if y in sub and y not in comp:
+                    comp.add(y)
+                    frontier.append(y)
+        sub -= comp
+        comps.append(frozenset(comp))
+    return sorted(comps, key=min)
+
+
+def _set_is_clique(g, s):
+    s = sorted(set(s))
+    return all(g.adjacent(u, v) for i, u in enumerate(s) for v in s[i + 1:])
+
+
+@st.composite
+def wide_graphs(draw):
+    """Up to 200 vertices, so that the masks run past 64 and 128 bits, with
+    a planted clique, perhaps short of one edge, and a vertex subset to ask
+    about."""
+    n = draw(st.integers(min_value=1, max_value=200))
+    names = ["v%03d" % i for i in range(n)]
+    index = st.integers(min_value=0, max_value=n - 1)
+    pairs = draw(st.lists(st.tuples(index, index), max_size=2 * n))
+    clique = draw(st.lists(index, unique=True, max_size=6))
+    planted = [(i, j) for i in clique for j in clique if i < j]
+    if planted and draw(st.booleans()):
+        planted.remove(draw(st.sampled_from(planted)))
+    edges = {(names[min(i, j)], names[max(i, j)])
+             for i, j in pairs + planted if i != j}
+    g = SimplicialGraph(names, sorted(edges))
+    sub = draw(st.lists(index, unique=True))
+    return g, [names[i] for i in clique], [names[i] for i in sub]
+
+
+@given(wide_graphs())
+@settings(deadline=None)
+def test_bitmask_searches_match_set_searches(case):
+    g, clique, sub = case
+    whole = _set_components(g, g.vertices)
+    assert connected_components(g) == [tuple(sorted(c)) for c in whole]
+    assert is_connected(g) == (len(whole) <= 1)
+    assert _components_within(g, sub) == _set_components(g, sub)
+    assert is_clique(g, clique) == _set_is_clique(g, clique)
+    assert is_clique(g, sub) == _set_is_clique(g, sub)
+    assert is_clique(g, clique + sub) == _set_is_clique(g, clique + sub)
+    with pytest.raises(DomainError):
+        is_clique(g, clique + ["nowhere"])
+    # the disconnection test of the separator candidates
+    full = (1 << len(g.vertices)) - 1
+    for s in (clique, sub):
+        rest = set(g.vertices) - set(s)
+        assert _splits(g.masks, full & ~_vertex_mask(g, s)) == \
+            (len(_set_components(g, rest)) >= 2)
+    assert _splits(g.masks, _vertex_mask(g, sub)) == \
+        (len(_set_components(g, sub)) >= 2)
+
+
+# --- reduce against the edge-scanning loop it replaced -------------------
+
+
+def _scanning_reduce(gog):
+    """Contract the lowest-id contractible edge, scanning every edge for it
+    and re-homing every edge after each contraction."""
+    groups = {n.id: n.group for n in gog.nodes}
+    edges = {e.id: [e.ends[0], e.ends[1], e.group, e.stable_letter]
+             for e in gog.edges}
+    while True:
+        target = None
+        for eid in sorted(edges):
+            a, b, grp, _ = edges[eid]
+            if a == b:
+                continue
+            if grp == groups[a]:
+                target = (eid, a, b)
+                break
+            if grp == groups[b]:
+                target = (eid, b, a)
+                break
+        if target is None:
+            break
+        eid, dead, kept = target
+        del edges[eid]
+        del groups[dead]
+        for rec in edges.values():
+            if rec[0] == dead:
+                rec[0] = kept
+            if rec[1] == dead:
+                rec[1] = kept
+    order = {old: new for new, old in enumerate(sorted(groups))}
+    out_groups = [groups[old] for old in sorted(groups)]
+    out_edges = [(order[a], order[b], grp, st)
+                 for _, (a, b, grp, st) in sorted(edges.items())]
+    return _build(gog.base, out_groups, out_edges)
+
+
+# few distinct groups, so that edge groups often equal node groups
+GROUPS = ((), ("a",), ("b",), ("a", "b"), ("a", "c"))
+
+
+@st.composite
+def graphs_of_groups(draw):
+    base = SimplicialGraph("abc", [("a", "b"), ("a", "c")])
+    k = draw(st.integers(min_value=1, max_value=9))
+    groups = draw(st.lists(st.sampled_from(GROUPS), min_size=k, max_size=k))
+    node = st.integers(min_value=0, max_value=k - 1)
+    # a tree on the nodes, then extra edges, parallel ones and loops
+    raw = [(draw(st.integers(min_value=0, max_value=i - 1)), i)
+           for i in range(1, k)]
+    raw += draw(st.lists(st.tuples(node, node), max_size=8))
+    edges = [(a, b, draw(st.sampled_from(GROUPS)),
+              draw(st.sampled_from("abc")) if a == b else None)
+             for a, b in raw]
+    return _build(base, groups, edges)
+
+
+@given(graphs_of_groups())
+def test_reduce_matches_scanning_loop(gog):
+    assert reduce(gog) == _scanning_reduce(gog)
+
+
+# --- the closure kernels against the per-state move lists they replaced --
+
+
+def _listed_moves(s, masks):
+    out = []
+    for i in range(len(s) - 1):
+        a = s[i]
+        b = s[i + 1]
+        if a == (b ^ 1):
+            out.append(s[:i] + s[i + 2:])
+        ga = a >> 1
+        gb = b >> 1
+        if ga != gb and (masks[ga] >> gb) & 1:
+            out.append(s[:i] + bytes((b, a)) + s[i + 2:])
+    return out
+
+
+def _listed_closure_canonical(data, masks, max_states):
+    start = bytes(data)
+    seen = {start}
+    queue = deque((start,))
+    best = start
+    while queue:
+        for t in _listed_moves(queue.popleft(), masks):
+            if t in seen:
+                continue
+            if len(seen) >= max_states:
+                return "refused", len(seen) + 1
+            seen.add(t)
+            queue.append(t)
+            if len(t) < len(best) or (len(t) == len(best) and t < best):
+                best = t
+    return best
+
+
+def _listed_closure_equal(w1, w2, masks, max_states):
+    a = bytes(w1)
+    b = bytes(w2)
+    if a == b:
+        return True
+    side = {a: 0, b: 1}
+    queues = (deque((a,)), deque((b,)))
+    while queues[0] or queues[1]:
+        for k in (0, 1):
+            if not queues[k]:
+                continue
+            for t in _listed_moves(queues[k].popleft(), masks):
+                o = side.get(t)
+                if o is None:
+                    if len(side) >= max_states:
+                        return "refused", len(side) + 1
+                    side[t] = k
+                    queues[k].append(t)
+                elif o != k:
+                    return True
+    return False
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except BudgetExceededError as exc:
+        assert exc.limit == args[-1]
+        return "refused", exc.consumed
+
+
+@given(graph_words(max_n=4, max_len=7), st.data(),
+       st.integers(min_value=1, max_value=60))
+@settings(max_examples=300)
+def test_closures_match_per_state_move_lists(gw, data, max_states):
+    g, w = gw
+    masks = g.masks
+    letter = st.integers(min_value=0, max_value=2 * len(masks) - 1)
+    a = _encode(g, w.letters)
+    if data.draw(st.booleans()):
+        b = bytes(data.draw(st.lists(letter, max_size=7)))
+    else:
+        # another spelling of the same element: a few moves away, perhaps
+        # with a cancelling pair put in, so that where the closures meet
+        # depends on the order they are grown in
+        b = a
+        for _ in range(data.draw(st.integers(min_value=0, max_value=6))):
+            moves = _listed_moves(b, masks)
+            if moves:
+                b = data.draw(st.sampled_from(moves))
+        if data.draw(st.booleans()):
+            x = data.draw(letter)
+            p = data.draw(st.integers(min_value=0, max_value=len(b)))
+            b = b[:p] + bytes((x, x ^ 1)) + b[p:]
+    assert _outcome(_pykernel.closure_canonical, a, masks, max_states) == \
+        _listed_closure_canonical(a, masks, max_states)
+    assert _outcome(_pykernel.closure_equal, a, b, masks, max_states) == \
+        _listed_closure_equal(a, b, masks, max_states)
