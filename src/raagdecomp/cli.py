@@ -17,8 +17,7 @@ import sys
 from .errors import (BudgetExceededError, DomainError, GraphParseError,
                      GraphValidationError, InvariantViolationError)
 from .graphs import (clique_separators, connected_components, hanging_vertices,
-                     induced_subgraph, is_complete, is_connected, join_factors,
-                     minimum_clique_separator, parse_graph)
+                     induced_subgraph, is_complete, join_factors, parse_graph)
 from .jsj import abelian_jsj, gog_to_dot, gog_to_json_obj, relative_jsj, validate
 from .words import (centralizer_descriptor, cyclically_reduce, normal_form,
                     parse_word, support, word_text)
@@ -67,10 +66,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise GraphParseError("input is not UTF-8 text: %s" % exc) from None
 
 
 def _load_graph(path: str):
@@ -84,7 +86,8 @@ def _emit(obj) -> None:
 def _cmd_analyze(args) -> int:
     g = _load_graph(args.file)
     comps = connected_components(g)
-    if is_connected(g) or not g.vertices:
+    connected = len(comps) <= 1
+    if connected:
         seps = clique_separators(g)
     else:
         seps = sorted(
@@ -94,7 +97,7 @@ def _cmd_analyze(args) -> int:
     _emit({
         "vertices": list(g.vertices),
         "edges": sorted(list(e) for e in g.edges),
-        "is_connected": is_connected(g),
+        "is_connected": connected,
         "is_complete": is_complete(g),
         "components": [list(c) for c in comps],
         "join_factors": [list(f) for f in join_factors(g)],

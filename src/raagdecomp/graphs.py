@@ -101,10 +101,6 @@ class SimplicialGraph:
             len(self.vertices), len(self.edges))
 
 
-def _sorted_edges(g):
-    return sorted(g.edges)
-
-
 def parse_graph(text):
     """Parse a graph from canonical JSON or from the supported DOT subset.
 
@@ -129,6 +125,8 @@ def _parse_json(text):
         raise GraphParseError(
             "invalid JSON at line %d column %d: %s" % (exc.lineno, exc.colno, exc.msg)
         ) from None
+    except RecursionError:
+        raise GraphParseError("JSON nested too deeply") from None
     if not isinstance(obj, dict):
         raise GraphParseError("top-level JSON value must be an object")
     for key in ("vertices", "edges"):
@@ -168,8 +166,9 @@ def _dot_tokens(text):
                 raise GraphParseError("unterminated quoted name")
             if text.startswith("/*", pos):
                 raise GraphParseError("unterminated comment")
-            raise GraphParseError(
-                "invalid DOT token %r" % text[pos:].split(None, 1)[0][:20])
+            # str.split knows more blanks (U+00A0, ...) than the lexer skips
+            bad = text[pos] if text[pos].isspace() else text[pos:].split(None, 1)[0]
+            raise GraphParseError("invalid DOT token %r" % bad[:20])
         pos = m.end()
         if m.group("id") is not None:
             yield "id", m.group("id")
@@ -231,14 +230,14 @@ def serialize_graph(g):
     """Canonical single-line JSON form; parse(serialize(g)) == g, and
     serializing a parsed canonical string reproduces it byte for byte."""
     return json.dumps(
-        {"vertices": list(g.vertices), "edges": [list(e) for e in _sorted_edges(g)]})
+        {"vertices": list(g.vertices), "edges": [list(e) for e in sorted(g.edges)]})
 
 
 def graph_to_dot(g):
     lines = ["graph G {"]
     for v in g.vertices:
         lines.append("  %s;" % _dot_name(v))
-    for u, v in _sorted_edges(g):
+    for u, v in sorted(g.edges):
         lines.append("  %s -- %s;" % (_dot_name(u), _dot_name(v)))
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -284,8 +283,6 @@ def link(g, s):
 
 def star(g, v):
     """`v` together with its link: the vertices commuting with `v`."""
-    if v not in g._index:
-        raise DomainError("vertex %r is not in the graph" % (v,))
     return tuple(sorted(set(g.neighbors(v)) | {v}))
 
 
@@ -367,14 +364,6 @@ def _full_mask(g):
     return (1 << len(g.vertices)) - 1
 
 
-def _components_within(g, sub):
-    """Connected components of the full subgraph on `sub` (a set), as
-    frozensets sorted by least member."""
-    vs = g.vertices
-    return [frozenset(_names(vs, c))
-            for c in _component_masks(g.masks, _vertex_mask(g, sub))]
-
-
 def connected_components(g):
     """Components as sorted tuples, ordered by smallest member; these are
     the free factors of the group."""
@@ -392,23 +381,30 @@ def join_factors(g):
     means the group is directly indecomposable; several factors mean the
     group is the direct product of the corresponding standard subgroups.
 
+    The complement is searched without being built: a frontier reaches
+    the vertices outside the AND of its members' adjacency masks. Factors
+    come in order of least vertex.
+
     >>> join_factors(parse_graph("graph { a -- b; b -- c; a -- c }"))
     [('a',), ('b',), ('c',)]
     """
-    rest = set(g.vertices)
-    comps = []
+    masks = g.masks
+    rest = _full_mask(g)
+    factors = []
     while rest:
-        root = min(rest)
-        comp = {root}
-        frontier = [root]
-        while frontier:
-            x = frontier.pop()
-            nonadj = rest - comp - g.neighbors(x)
-            comp |= nonadj
-            frontier.extend(nonadj)
-        rest -= comp
-        comps.append(tuple(sorted(comp)))
-    return sorted(comps, key=lambda c: c[0])
+        left = rest & (rest - 1)  # all but the least vertex, the seed
+        frontier = rest ^ left
+        while frontier and left:
+            common = left  # the vertices adjacent to the whole frontier
+            while frontier and common:
+                b = frontier & -frontier
+                common &= masks[b.bit_length() - 1]
+                frontier ^= b
+            frontier = left ^ common
+            left = common
+        factors.append(_names(g.vertices, rest ^ left))
+        rest = left
+    return factors
 
 
 def is_clique(g, s):
@@ -518,8 +514,6 @@ def clique_separators(g):
     >>> clique_separators(parse_graph("graph { a -- b; b -- c; c -- a }"))
     []
     """
-    if not g.vertices:
-        return []
     if not is_connected(g):
         raise DomainError("clique_separators requires a connected graph; "
                           "split into components first")

@@ -13,10 +13,10 @@ from typing import List, Optional, Tuple
 
 from .errors import DomainError, InvariantViolationError, RaagError
 from .graphs import (SimplicialGraph, _clique_mask, _component_masks,
-                     _components_within, _full_mask, _names, _splits,
-                     _vertex_mask, _vertex_set, clique_separator_candidates,
-                     clique_separators, hanging_vertices, induced_subgraph,
-                     is_clique, is_connected, link, star)
+                     _full_mask, _names, _splits, _vertex_mask,
+                     clique_separator_candidates, clique_separators,
+                     hanging_vertices, induced_subgraph, is_clique,
+                     is_connected, link, star)
 
 
 @dataclass(frozen=True)
@@ -92,16 +92,17 @@ def amalgam_split(g: SimplicialGraph, k) -> GraphOfGroups:
     """Path of amalgams over the disconnecting clique `k`: one node per
     component of the graph minus `k` (each with `k` added back), consecutive
     nodes joined by edges with group `k`."""
-    kset = _vertex_set(g, k)
+    kmask = _vertex_mask(g, k)
+    k = _names(g.vertices, kmask)
     if not is_connected(g):
         raise DomainError("amalgam_split requires a connected graph")
-    if not is_clique(g, kset):
-        raise DomainError("%s is not a clique" % (sorted(kset),))
-    comps = _components_within(g, set(g.vertices) - kset)
+    if not _clique_mask(g.masks, kmask):
+        raise DomainError("%s is not a clique" % (list(k),))
+    comps = _component_masks(g.masks, _full_mask(g) ^ kmask)
     if len(comps) < 2:
-        raise DomainError("%s does not disconnect the graph" % (sorted(kset),))
-    groups = [tuple(sorted(kset | c)) for c in comps]
-    edges = [(i, i + 1, tuple(sorted(kset)), None) for i in range(len(comps) - 1)]
+        raise DomainError("%s does not disconnect the graph" % (list(k),))
+    groups = [_names(g.vertices, kmask | c) for c in comps]
+    edges = [(i, i + 1, k, None) for i in range(len(comps) - 1)]
     return _build(g, groups, edges)
 
 
@@ -233,9 +234,9 @@ def abelian_jsj(g: SimplicialGraph) -> GraphOfGroups:
 
 
 def _abelian_gog(g, groups, edges):
-    if len(g.vertices) == 1:
-        return _build(g, [()], [(0, 0, (), g.vertices[0])])
-    if len(groups) == 1:
+    # one group of two or more vertices holds no hanging vertex, and a
+    # complete graph is spared the scan for them
+    if len(groups) == 1 and len(g.vertices) > 1:
         return _build(g, groups, edges)
     groups, edges = list(groups), list(edges)  # jsj_report shares them
     nodes_of = {}

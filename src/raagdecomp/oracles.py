@@ -10,7 +10,6 @@ All enumeration is guarded by an `OracleBudget`, and hitting a cap raises
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import combinations
-import os
 from typing import List, Optional
 
 from . import kernels
@@ -18,38 +17,12 @@ from .errors import BudgetExceededError, DomainError
 from .graphs import SimplicialGraph
 from .words import NormalForm, Word, _decode, _encode, _same_graph
 
-_ENV_VAR = "RAAGDECOMP_ORACLE_BUDGET"
-
 
 @dataclass(frozen=True)
 class OracleBudget:
     max_vertices: int = 8
     max_word_length: int = 6
     max_states: int = 1_000_000
-
-    @classmethod
-    def from_env(cls) -> "OracleBudget":
-        """Budget from RAAGDECOMP_ORACLE_BUDGET, e.g.
-        "max_vertices=8,max_word_length=6,max_states=1000000" (test builds)."""
-        raw = os.environ.get(_ENV_VAR, "").strip()
-        values = {}
-        if raw:
-            for item in raw.split(","):
-                key, _, val = item.partition("=")
-                key = key.strip()
-                if key not in cls.__dataclass_fields__:
-                    raise DomainError("unknown budget field %r in %s" % (key, _ENV_VAR))
-                try:
-                    values[key] = int(val)
-                except ValueError:
-                    raise DomainError(
-                        "budget field %r in %s is not an integer" % (key, _ENV_VAR)
-                    ) from None
-        return cls(**values)
-
-
-def default_budget() -> OracleBudget:
-    return OracleBudget.from_env()
 
 
 def _component_count(g, sub):
@@ -77,7 +50,7 @@ def _is_clique(g, s):
 
 def brute_clique_separators(g: SimplicialGraph, budget: Optional[OracleBudget] = None):
     """Inclusion-minimal disconnecting cliques by trying every subset."""
-    budget = budget or default_budget()
+    budget = budget or OracleBudget()
     if not g.vertices:
         return []
     if _component_count(g, g.vertices) > 1:
@@ -105,7 +78,7 @@ def bfs_equal(w1: Word, w2: Word, budget: Optional[OracleBudget] = None) -> bool
     """Equality by breadth-first closure under the two elementary moves
     (swap adjacent commuting letters, delete an adjacent inverse pair):
     the closures of equal words meet, those of distinct words never do."""
-    budget = budget or default_budget()
+    budget = budget or OracleBudget()
     _same_graph(w1, w2)
     combined = len(w1.letters) + len(w2.letters)
     if combined > 2 * budget.max_word_length:
@@ -166,7 +139,7 @@ def commuting_words(g: SimplicialGraph, w: Word, max_len: int,
                     budget: Optional[OracleBudget] = None) -> List[NormalForm]:
     """Every canonical word u with length <= max_len and u*w = w*u, each
     commutation decided by the closure oracle. Sorted shortlex."""
-    budget = budget or default_budget()
+    budget = budget or OracleBudget()
     if w.graph != g:
         raise DomainError("word does not live over the given graph")
     if len(g.vertices) > budget.max_vertices:

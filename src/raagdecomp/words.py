@@ -404,8 +404,6 @@ def centralizer_descriptor(w: Word, mode: str = "pro-p") -> CentralizerDescripto
     g = w.graph
     red, conj = cyclically_reduce(w)
     supp = support(red)
-    if not supp:
-        return CentralizerDescriptor(g, mode, conj, (), g.vertices)
     factors = []
     for part in join_factors(induced_subgraph(g, supp)):
         inside = set(part)

@@ -5,6 +5,8 @@ import pytest
 
 from raagdecomp.cli import main
 
+import golden
+
 P4_JSON = ('{"vertices": ["a","b","c","d"],'
            ' "edges": [["a","b"],["b","c"],["c","d"]]}')
 
@@ -77,6 +79,28 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", str(path))
         assert code == 1
         assert "endpoints must be vertex name strings" in err
+
+    def test_deeply_nested_json(self, capsys, tmp_path):
+        # json.loads recurses once per level and runs out of stack
+        path = tmp_path / "deep.json"
+        path.write_text('{"vertices": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        code, out, err = run(capsys, "analyze", str(path))
+        assert (code, out) == (1, "")
+        assert "nested too deeply" in err
+
+    def test_file_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "latin.dot"
+        path.write_bytes(b"\xff\xfegraph { a -- b }")
+        code, out, err = run(capsys, "analyze", str(path))
+        assert (code, out) == (1, "")
+        assert "UTF-8" in err
+
+    def test_stdin_not_utf8(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+            io.BytesIO(b"graph { caf\xe9 -- b }"), encoding="utf-8"))
+        code, out, err = run(capsys, "analyze", "-")
+        assert (code, out) == (1, "")
+        assert "UTF-8" in err
 
 
 class TestJsj:
@@ -186,6 +210,12 @@ class TestElement:
     def test_word_required(self, capsys, p4_file):
         code, _, _ = run(capsys, "element", p4_file)
         assert code == 1
+
+
+def test_output_bytes_match_golden_digests():
+    # exit codes, stdout and stderr of every subcommand on the seeded
+    # command line corpus (see golden.py)
+    assert golden.cli_digests() == golden.stored_cli()
 
 
 class TestTopLevel:

@@ -87,6 +87,13 @@ class TestParsing:
             with pytest.raises(GraphParseError, match=match):
                 parse_graph(text)
 
+    def test_dot_unusual_blank_is_a_bad_token(self):
+        # str.split counts U+001C and U+00A0 as blanks, the DOT lexer does not
+        for text, bad in [("graph {\x1c", "\x1c"), ("graph { a\xa0}", "\xa0")]:
+            with pytest.raises(GraphParseError) as info:
+                parse_graph(text)
+            assert str(info.value) == "invalid DOT token %r" % bad
+
     def test_empty_input(self):
         with pytest.raises(GraphParseError, match="empty input"):
             parse_graph("   \n  ")

@@ -4,8 +4,8 @@ import pytest
 
 from raagdecomp import (BudgetExceededError, DomainError, OracleBudget,
                         SimplicialGraph, bfs_equal, brute_clique_separators,
-                        clique_separators, commuting_words, default_budget,
-                        equal, exhaustive_graphs, is_connected, parse_word)
+                        clique_separators, commuting_words, equal,
+                        exhaustive_graphs, is_connected, parse_word)
 from raagdecomp.oracles import _enumerated_ball
 
 
@@ -14,24 +14,6 @@ class TestBudget:
         b = OracleBudget()
         assert (b.max_vertices, b.max_word_length, b.max_states) == \
             (8, 6, 1_000_000)
-
-    def test_from_env(self, monkeypatch):
-        monkeypatch.setenv("RAAGDECOMP_ORACLE_BUDGET",
-                           "max_word_length=9, max_states=5000")
-        b = default_budget()
-        assert b.max_word_length == 9
-        assert b.max_states == 5000
-        assert b.max_vertices == 8
-
-    def test_from_env_unknown_key(self, monkeypatch):
-        monkeypatch.setenv("RAAGDECOMP_ORACLE_BUDGET", "max_wrds=3")
-        with pytest.raises(DomainError, match="max_wrds"):
-            default_budget()
-
-    def test_from_env_bad_value(self, monkeypatch):
-        monkeypatch.setenv("RAAGDECOMP_ORACLE_BUDGET", "max_states=many")
-        with pytest.raises(DomainError, match="integer"):
-            default_budget()
 
 
 class TestBruteSeparators:

@@ -6,10 +6,11 @@ import pytest
 from raagdecomp import (BudgetExceededError, DomainError, SimplicialGraph,
                         Word, bfs_equal, centralizer_descriptor,
                         connected_components, cyclically_reduce, equal,
-                        graph_to_dot, is_clique, is_connected, normal_form,
-                        parse_graph, power, reduce, support, word_text)
+                        graph_to_dot, is_clique, is_connected, join_factors,
+                        normal_form, parse_graph, power, reduce, support,
+                        word_text)
 from raagdecomp import kernels, _pykernel
-from raagdecomp.graphs import _components_within, _splits, _vertex_mask
+from raagdecomp.graphs import _component_masks, _names, _splits, _vertex_mask
 from raagdecomp.jsj import _build
 from raagdecomp.words import _encode
 
@@ -216,6 +217,23 @@ def _set_components(g, sub):
     return sorted(comps, key=min)
 
 
+def _set_join_factors(g):
+    """Components of the complement graph by a search over name sets, as
+    sorted tuples in order of least member."""
+    rest = set(g.vertices)
+    factors = []
+    while rest:
+        comp = {min(rest)}
+        frontier = list(comp)
+        while frontier:
+            far = rest - comp - g.neighbors(frontier.pop())
+            comp |= far
+            frontier.extend(far)
+        rest -= comp
+        factors.append(tuple(sorted(comp)))
+    return sorted(factors)
+
+
 def _set_is_clique(g, s):
     s = sorted(set(s))
     return all(g.adjacent(u, v) for i, u in enumerate(s) for v in s[i + 1:])
@@ -248,7 +266,15 @@ def test_bitmask_searches_match_set_searches(case):
     whole = _set_components(g, g.vertices)
     assert connected_components(g) == [tuple(sorted(c)) for c in whole]
     assert is_connected(g) == (len(whole) <= 1)
-    assert _components_within(g, sub) == _set_components(g, sub)
+    assert [frozenset(_names(g.vertices, c))
+            for c in _component_masks(g.masks, _vertex_mask(g, sub))] == \
+        _set_components(g, sub)
+    # the complement of a sparse graph is a join of its components
+    vs = g.vertices
+    co = SimplicialGraph(vs, [(u, v) for i, u in enumerate(vs)
+                              for v in vs[i + 1:] if not g.adjacent(u, v)])
+    assert [join_factors(h) for h in (g, co)] == \
+        [_set_join_factors(h) for h in (g, co)]
     assert is_clique(g, clique) == _set_is_clique(g, clique)
     assert is_clique(g, sub) == _set_is_clique(g, sub)
     assert is_clique(g, clique + sub) == _set_is_clique(g, clique + sub)

@@ -8,7 +8,9 @@ separators that are not cliques, which an enumeration of all minimal
 separators has to visit one by one. A star makes every leaf a hanging
 vertex of the abelian decomposition, and every leaf's node then merges
 into one: a reduction that rescans or re-homes every edge per merge is
-quadratic in the number of leaves.
+quadratic in the number of leaves. The join factors of a star are the hub
+and the set of all leaves; a search of the complement over name sets
+subtracts the whole rest of the graph per leaf.
 
 Cyclic reduction peels a long conjugator off one spelling; redoing the
 normal form for every peeled pair is quadratic in the word length. The
@@ -24,8 +26,8 @@ import time
 import pytest
 
 from raagdecomp import (BudgetExceededError, SimplicialGraph, Word,
-                        abelian_jsj, cyclically_reduce, equal, jsj_report,
-                        primitive_root, relative_jsj)
+                        abelian_jsj, cyclically_reduce, equal, join_factors,
+                        jsj_report, primitive_root, relative_jsj)
 
 
 def path_graph(n):
@@ -100,6 +102,15 @@ def test_star_abelian():
     _within("abelian decomposition of a 4000-leaf star", t0, 5)
     assert [n.group for n in gog.nodes] == [("hub",)]
     assert [e.stable_letter for e in gog.edges] == leaves
+
+
+def test_star_join_factors():
+    leaves = ["l%05d" % i for i in range(20_000)]
+    g = SimplicialGraph(["hub"] + leaves, [("hub", v) for v in leaves])
+    t0 = time.perf_counter()
+    factors = join_factors(g)
+    _within("join factors of a 20,000-leaf star", t0, 2)
+    assert factors == [("hub",), tuple(leaves)]
 
 
 def test_long_conjugate_cyclic_reduction():
