@@ -29,7 +29,10 @@ def canonicalize(data, masks):
     past commuting letters and cancels the first matching inverse it can
     reach, a same-generator letter or a non-commuting letter blocks the scan.
     Linearization: repeatedly emit the least letter that can be shuffled to
-    the front of what remains.
+    the front of what remains. A scan stops once every generator of the
+    reduced word is blocked, since no later letter can move to the front;
+    generators absent from the word never appear later in a scan, so they
+    are left out of the blocked sets.
     """
     buf = bytearray()
     for x in data:
@@ -52,9 +55,11 @@ def canonicalize(data, masks):
         else:
             buf.append(x)
 
-    n = len(masks)
-    full = (1 << n) - 1
-    # block[g]: generators that cannot move left past g (non-neighbours and g)
+    full = 0
+    for x in set(buf):
+        full |= 1 << (x >> 1)
+    # block[g]: generators of the word that cannot move left past g
+    # (its non-neighbours and g itself)
     block = [full & ~m for m in masks]
     out = bytearray()
     while buf:

@@ -433,15 +433,20 @@ def _mcs_m(g):
     adj = [[idx[u] for u in g._adj[v]] for v in g.vertices]
     weight = [0] * len(adj)
     numbered = [False] * len(adj)
-    rest = list(range(len(adj)))
+    # level[w]: bitmask of the unnumbered vertices of weight w; top is the
+    # largest weight among them (0 once none is left)
+    level = [(1 << len(adj)) - 1]
+    top = 0
     later = [[] for _ in adj]
-    while rest:
-        z = max(rest, key=weight.__getitem__)
-        rest.remove(z)
+    for _ in adj:
+        # the least index among the heaviest unnumbered vertices
+        z = (level[top] & -level[top]).bit_length() - 1
+        level[top] ^= 1 << z
         numbered[z] = True
+        while top and not level[top]:
+            top -= 1
         # least, over the paths from z, of the weight of their heaviest
         # inner vertex; only a value below the largest weight can qualify
-        top = max((weight[u] for u in rest), default=0)
         best = {}
         buckets = [[] for _ in range(top + 1)]
         for u in adj[z]:
@@ -465,7 +470,14 @@ def _mcs_m(g):
                         best[x] = c
                         buckets[c + 1].append(x)
         for y in reached:
-            weight[y] += 1
+            w = weight[y]
+            level[w] ^= 1 << y
+            if w == top:
+                top += 1
+                if top == len(level):
+                    level.append(0)
+            level[w + 1] |= 1 << y
+            weight[y] = w + 1
             later[y].append(z)
     return later
 

@@ -12,7 +12,7 @@ on that order.
 
 from bisect import insort
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress, repeat, starmap
 import re
 from typing import Iterable, Tuple
 
@@ -78,29 +78,33 @@ MAX_WORD_LETTERS = 1_000_000
 def parse_word(graph: SimplicialGraph, text: str) -> Word:
     """Whitespace-separated tokens `v`, `v^-1`, `v^k` (k expanded).
 
-    Raises DomainError when the word would expand to more than
-    MAX_WORD_LETTERS letters, before building any of them.
+    Each distinct token text is parsed once. Raises DomainError on the
+    first malformed or unknown token, and when the word would expand to
+    more than MAX_WORD_LETTERS letters, before building any of them.
     """
-    tokens = []
+    parsed = {}  # token text -> (letter, count)
+    runs = []
     total = 0
     for tok in text.split():
-        m = _TOKEN.match(tok)
-        if not m:
-            raise DomainError("malformed word token %r" % (tok,))
-        name, digits = m.group(1), m.group(2) or "1"
-        if name not in graph._index:
-            raise DomainError("unknown generator %r" % (name,))
-        sign = -1 if digits[0] == "-" else 1
-        digits = digits.lstrip("+-").lstrip("0") or "0"
-        # int() refuses more than 4300 digits; 20 are far over the cap
-        count = int(digits) if len(digits) <= 20 else MAX_WORD_LETTERS + 1
-        total += count
+        run = parsed.get(tok)
+        if run is None:
+            m = _TOKEN.match(tok)
+            if not m:
+                raise DomainError("malformed word token %r" % (tok,))
+            name, digits = m.group(1), m.group(2) or "1"
+            if name not in graph._index:
+                raise DomainError("unknown generator %r" % (name,))
+            sign = -1 if digits[0] == "-" else 1
+            digits = digits.lstrip("+-").lstrip("0") or "0"
+            # int() refuses more than 4300 digits; 20 are far over the cap
+            count = int(digits) if len(digits) <= 20 else MAX_WORD_LETTERS + 1
+            run = parsed[tok] = ((name, sign), count)
+        total += run[1]
         if total > MAX_WORD_LETTERS:
             raise DomainError("word expands to more than %d letters"
                               % MAX_WORD_LETTERS)
-        tokens.append(((name, sign), count))
-    return Word(graph, tuple(
-        letter for letter, count in tokens for _ in range(count)))
+        runs.append(run)
+    return Word(graph, tuple(chain.from_iterable(starmap(repeat, runs))))
 
 
 def word_text(w) -> str:
@@ -321,7 +325,8 @@ def primitive_root(w, max_linearizations: int = 100_000) -> Tuple[NormalForm, in
         raise DomainError("primitive_root requires a nontrivial word")
     if _peel(codes, masks)[1]:
         raise DomainError("primitive_root requires a cyclically reduced word")
-    supp = support(w)
+    vs = g.vertices
+    supp = tuple(sorted({vs[b >> 1] for b in codes}))
     if len(join_factors(induced_subgraph(g, supp))) > 1:
         raise DomainError("support splits as a join; factor the word first")
     n = len(codes)
@@ -403,7 +408,7 @@ def centralizer_descriptor(w: Word, mode: str = "pro-p") -> CentralizerDescripto
         raise DomainError("mode must be 'pro-p' or 'pro-C', got %r" % (mode,))
     g = w.graph
     red, conj = cyclically_reduce(w)
-    supp = support(red)
+    supp = tuple(sorted({name for name, _ in red.letters}))
     factors = []
     for part in join_factors(induced_subgraph(g, supp)):
         inside = set(part)

@@ -1,15 +1,18 @@
 from collections import deque
+import re
 
 from hypothesis import given, settings, strategies as st
 import pytest
 
-from raagdecomp import (BudgetExceededError, DomainError, SimplicialGraph,
+from raagdecomp import (BudgetExceededError, CentralizerDescriptor,
+                        CentralizerFactor, DomainError, SimplicialGraph,
                         Word, bfs_equal, centralizer_descriptor,
                         connected_components, cyclically_reduce, equal,
-                        graph_to_dot, is_clique, is_connected, join_factors,
-                        normal_form, parse_graph, power, reduce, support,
-                        word_text)
-from raagdecomp import kernels, _pykernel
+                        graph_to_dot, induced_subgraph, is_clique,
+                        is_connected, join_factors, link, normal_form,
+                        parse_graph, parse_word, power, primitive_root,
+                        reduce, support, word_text)
+from raagdecomp import kernels, words, _pykernel
 from raagdecomp.graphs import _component_masks, _names, _splits, _vertex_mask
 from raagdecomp.jsj import _build
 from raagdecomp.words import _encode
@@ -175,7 +178,6 @@ def test_centralizer_members_commute(gw):
 
 @given(graph_words())
 def test_word_text_round_trips_through_parser(gw):
-    from raagdecomp import parse_word
     g, w = gw
     assert parse_word(g, word_text(w)).letters == w.letters
 
@@ -446,3 +448,158 @@ def test_closures_match_per_state_move_lists(gw, data, max_states):
         _listed_closure_canonical(a, masks, max_states)
     assert _outcome(_pykernel.closure_equal, a, b, masks, max_states) == \
         _listed_closure_equal(a, b, masks, max_states)
+
+
+# --- the word engine against the unbounded and per-token versions --------
+
+
+def _full_alphabet_canonicalize(data, masks):
+    """`canonicalize` with a linearization scan that stops only once every
+    generator of the graph is blocked, not just every one of the word."""
+    buf = bytearray()
+    for x in data:
+        mx = masks[x >> 1]
+        gx = x >> 1
+        j = len(buf) - 1
+        cancel = -1
+        while j >= 0:
+            y = buf[j]
+            gy = y >> 1
+            if gy == gx:
+                if y == (x ^ 1):
+                    cancel = j
+                break
+            if not (mx >> gy) & 1:
+                break
+            j -= 1
+        if cancel >= 0:
+            del buf[cancel]
+        else:
+            buf.append(x)
+    full = (1 << len(masks)) - 1
+    block = [full & ~m for m in masks]
+    out = bytearray()
+    while buf:
+        bad = 0
+        best = 256
+        best_pos = -1
+        for p, x in enumerate(buf):
+            g = x >> 1
+            if not (bad >> g) & 1 and x < best:
+                best = x
+                best_pos = p
+            bad |= block[g]
+            if bad == full:
+                break
+        out.append(best)
+        del buf[best_pos]
+    return bytes(out)
+
+
+@st.composite
+def narrow_words(draw):
+    """Letter codes over a few generators of a graph of up to 12 vertices,
+    where some vertices outside the word's support are adjacent to all of
+    it, so that a scan over the whole alphabet would never stop early."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    names = tuple("abcdefghijkl"[:n])
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    bits = draw(st.integers(min_value=0, max_value=(1 << len(pairs)) - 1))
+    edges = {p for k, p in enumerate(pairs) if (bits >> k) & 1}
+    gens = draw(st.lists(st.integers(min_value=0, max_value=n - 1),
+                         min_size=1, max_size=min(n, 4), unique=True))
+    for h in range(n):
+        if h not in gens and draw(st.booleans()):
+            edges.update((min(h, x), max(h, x)) for x in gens)
+    g = SimplicialGraph(names, [(names[i], names[j]) for i, j in edges])
+    data = bytes(draw(st.lists(
+        st.sampled_from([2 * x + s for x in gens for s in (0, 1)]),
+        max_size=40)))
+    return g, data
+
+
+@given(narrow_words())
+@settings(max_examples=300)
+def test_canonicalize_matches_full_alphabet_scan(case):
+    g, data = case
+    assert _pykernel.canonicalize(data, g.masks) == \
+        _full_alphabet_canonicalize(data, g.masks)
+
+
+_TOKEN = re.compile(r"([A-Za-z0-9_]+)(?:\^([+-]?\d+))?\Z")
+
+
+def _per_token_parse(graph, text):
+    """`parse_word` matching the token pattern once per token, repeats
+    included, and expanding the word letter by letter."""
+    tokens = []
+    total = 0
+    for tok in text.split():
+        m = _TOKEN.match(tok)
+        if not m:
+            raise DomainError("malformed word token %r" % (tok,))
+        name, digits = m.group(1), m.group(2) or "1"
+        if name not in graph._index:
+            raise DomainError("unknown generator %r" % (name,))
+        sign = -1 if digits[0] == "-" else 1
+        digits = digits.lstrip("+-").lstrip("0") or "0"
+        cap = words.MAX_WORD_LETTERS
+        count = int(digits) if len(digits) <= 20 else cap + 1
+        total += count
+        if total > cap:
+            raise DomainError("word expands to more than %d letters" % cap)
+        tokens.append(((name, sign), count))
+    return Word(graph, tuple(
+        letter for letter, count in tokens for _ in range(count)))
+
+
+def _parsed(parse, graph, text):
+    try:
+        return parse(graph, text).letters
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+TOKEN_NAMES = st.sampled_from(["a", "b", "c", "d", "z", "a_1", "", "é"])
+EXPONENTS = st.sampled_from([
+    "", "^", "^1", "^-1", "^2", "^+3", "^-0", "^0", "^+0", "^007", "^-0002",
+    "^+009", "^٣", "^1^2", "^-", "^12", "^99999999999999999999999"])
+
+
+@given(st.lists(st.tuples(TOKEN_NAMES, EXPONENTS).map("".join),
+                min_size=1, max_size=5),
+       st.lists(st.integers(min_value=0, max_value=4), max_size=14))
+@settings(max_examples=300)
+def test_parse_word_matches_per_token_parser(pool, picks):
+    # tokens repeat: each pick names one of a few distinct token texts
+    text = " ".join(pool[i % len(pool)] for i in picks)
+    g = SimplicialGraph(("a", "b", "c", "d"), [("a", "b"), ("b", "c")])
+    # a small cap, so that repeated tokens reach it
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(words, "MAX_WORD_LETTERS", 30)
+        assert _parsed(parse_word, g, text) == \
+            _parsed(_per_token_parse, g, text)
+
+
+def _support_calling_descriptor(w, mode="pro-p"):
+    """`centralizer_descriptor` taking the support of the reduced word
+    from `support`, which canonicalizes it again."""
+    g = w.graph
+    red, conj = cyclically_reduce(w)
+    supp = support(red)
+    factors = []
+    for part in join_factors(induced_subgraph(g, supp)):
+        inside = set(part)
+        piece = Word(g, tuple(l for l in red.letters if l[0] in inside))
+        root, exponent = primitive_root(piece)
+        factors.append(CentralizerFactor(part, root, exponent))
+    return CentralizerDescriptor(g, mode, conj, tuple(factors), link(g, supp))
+
+
+@given(st.one_of(graph_words(max_len=10), conjugated_words()),
+       st.sampled_from(("pro-p", "pro-C")))
+@settings(deadline=None)
+def test_centralizer_descriptor_matches_support_calling_copy(gw, mode):
+    _, w = gw
+    assert centralizer_descriptor(w, mode) == \
+        _support_calling_descriptor(w, mode)

@@ -13,8 +13,14 @@ and the set of all leaves; a search of the complement over name sets
 subtracts the whole rest of the graph per leaf.
 
 Cyclic reduction peels a long conjugator off one spelling; redoing the
-normal form for every peeled pair is quadratic in the word length. The
-primitive-root budget counts the nodes of a choice tree whose paths are
+normal form for every peeled pair is quadratic in the word length. A
+linearization whose scan waits for every generator of the graph to be
+blocked runs to the end of a word that leaves out a generator adjacent to
+its letters, as the hub of hub-a, hub-b is left out of (a b)^n, and the
+primitive-root check of that word canonicalizes such powers. MCS-M that
+looks for the heaviest vertex among all the unnumbered ones is quadratic
+on any graph, and a star is where the abelian decomposition spends
+nothing else. The primitive-root budget counts the nodes of a choice tree whose paths are
 far more numerous than its distinct remainders, so it is decided without
 walking the paths.
 """
@@ -27,7 +33,8 @@ import pytest
 
 from raagdecomp import (BudgetExceededError, SimplicialGraph, Word,
                         abelian_jsj, cyclically_reduce, equal, join_factors,
-                        jsj_report, primitive_root, relative_jsj)
+                        jsj_report, normal_form, primitive_root,
+                        relative_jsj)
 
 
 def path_graph(n):
@@ -104,6 +111,16 @@ def test_star_abelian():
     assert [e.stable_letter for e in gog.edges] == leaves
 
 
+def test_big_star_abelian():
+    leaves = ["l%05d" % i for i in range(20_000)]
+    g = SimplicialGraph(["hub"] + leaves, [("hub", v) for v in leaves])
+    t0 = time.perf_counter()
+    gog = abelian_jsj(g)
+    _within("abelian decomposition of a 20,000-leaf star", t0, 5)
+    assert [n.group for n in gog.nodes] == [("hub",)]
+    assert len(gog.edges) == 20_000
+
+
 def test_star_join_factors():
     leaves = ["l%05d" % i for i in range(20_000)]
     g = SimplicialGraph(["hub"] + leaves, [("hub", v) for v in leaves])
@@ -124,6 +141,26 @@ def test_long_conjugate_cyclic_reduction():
     _within("cyclic reduction of a 40,002-letter conjugate", t0, 5)
     assert str(red) == "a b"
     assert equal(conj.inverse() * word * conj, red.word)
+
+
+def hub_graph():
+    return SimplicialGraph(("a", "b", "hub"), [("hub", "a"), ("hub", "b")])
+
+
+def test_hub_word_normal_form():
+    word = Word(hub_graph(), (("a", 1), ("b", 1)) * 50_000)
+    t0 = time.perf_counter()
+    nf = normal_form(word)
+    _within("normal form of a 100,000-letter hub word", t0, 2)
+    assert nf.letters == word.letters
+
+
+def test_hub_word_primitive_root():
+    word = Word(hub_graph(), (("a", 1), ("b", 1)) * 25_000)
+    t0 = time.perf_counter()
+    root, k = primitive_root(word)
+    _within("primitive root of a 50,000-letter hub word", t0, 2)
+    assert (str(root), k) == ("a b", 25_000)
 
 
 def test_generic_word_refused_without_walking_paths():
