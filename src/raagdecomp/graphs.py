@@ -29,11 +29,13 @@ class SimplicialGraph:
     """Immutable finite simple graph with string-named vertices.
 
     Vertices are kept sorted; each edge is stored once as an ordered pair.
+    `masks[i]` is the bitmask of the neighbours of the i-th vertex, bit j
+    standing for the j-th: the graph's one adjacency, built with it.
     Construction validates simplicity (no self-loops, no duplicate vertices,
     edge endpoints declared).
     """
 
-    __slots__ = ("vertices", "edges", "_adj", "_index", "_masks")
+    __slots__ = ("vertices", "edges", "masks", "_index")
 
     def __init__(self, vertices, edges):
         vs = list(vertices)
@@ -44,49 +46,40 @@ class SimplicialGraph:
             dup = sorted(v for v in set(vs) if vs.count(v) > 1)
             raise GraphValidationError("duplicate vertex: %s" % ", ".join(dup))
         self.vertices = tuple(sorted(vs))
-        vset = set(self.vertices)
-        adj = {v: set() for v in self.vertices}
+        idx = self._index = {v: i for i, v in enumerate(self.vertices)}
+        masks = [0] * len(vs)
         norm = set()
         for e in edges:
-            u, v = e
-            if u not in vset:
+            try:
+                u, v = e
+                i, j = idx.get(u), idx.get(v)
+            except (TypeError, ValueError):
+                raise GraphValidationError(
+                    "each edge must be a pair of vertex names, got %r" % (e,)) from None
+            if i is None:
                 raise GraphValidationError("edge endpoint %r is not a declared vertex" % (u,))
-            if v not in vset:
+            if j is None:
                 raise GraphValidationError("edge endpoint %r is not a declared vertex" % (v,))
-            if u == v:
+            if i == j:
                 raise GraphValidationError("self-loop at vertex %r" % (u,))
-            norm.add((u, v) if u < v else (v, u))
-            adj[u].add(v)
-            adj[v].add(u)
+            norm.add((u, v) if i < j else (v, u))
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
         self.edges = frozenset(norm)
-        self._adj = {v: frozenset(s) for v, s in adj.items()}
-        self._index = {v: i for i, v in enumerate(self.vertices)}
-        self._masks = None
+        self.masks = tuple(masks)
 
     def neighbors(self, v):
-        try:
-            return self._adj[v]
-        except KeyError:
-            raise DomainError("vertex %r is not in the graph" % (v,)) from None
+        return frozenset(_names(self.vertices, self.masks[self.index(v)]))
 
     def adjacent(self, u, v):
-        return v in self.neighbors(u)
+        m = self.masks[self.index(u)]
+        return v in self._index and m >> self._index[v] & 1 == 1
 
     def index(self, v):
         try:
             return self._index[v]
         except KeyError:
             raise DomainError("vertex %r is not in the graph" % (v,)) from None
-
-    @property
-    def masks(self):
-        # adjacency bitmasks in sorted-vertex order, for the kernels and
-        # the component and clique searches
-        if self._masks is None:
-            idx = self._index
-            self._masks = tuple(
-                sum(1 << idx[u] for u in self._adj[v]) for v in self.vertices)
-        return self._masks
 
     def __eq__(self, other):
         if not isinstance(other, SimplicialGraph):
@@ -249,18 +242,14 @@ def _dot_name(name):
     return '"%s"' % name.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _vertex_set(g, s):
-    out = frozenset(s)
-    missing = sorted(v for v in out if v not in g._index)
-    if missing:
-        raise DomainError("not vertices of the graph: %s" % ", ".join(map(repr, missing)))
-    return out
-
-
 def induced_subgraph(g, s):
     """Full subgraph on the vertex set `s` (every edge of g inside s)."""
-    s = _vertex_set(g, s)
-    return SimplicialGraph(s, [e for e in g.edges if e[0] in s and e[1] in s])
+    m = _vertex_mask(g, s)
+    vs = g.vertices
+    members = _names(range(len(vs)), m)
+    # each edge once, from its lower end: -(2 << i) clears bits 0..i
+    return SimplicialGraph([vs[i] for i in members], [
+        (vs[i], v) for i in members for v in _names(vs, g.masks[i] & m & -(2 << i))])
 
 
 def link(g, s):
@@ -274,16 +263,16 @@ def link(g, s):
     >>> link(g, set())
     ('a', 'b', 'c', 'd')
     """
-    s = _vertex_set(g, s)
-    if not s:
-        return g.vertices
-    common = frozenset.intersection(*(g.neighbors(u) for u in s))
-    return tuple(sorted(common - s))
+    common = _full_mask(g)  # no member's mask holds the member itself
+    for i in _names(range(len(g.vertices)), _vertex_mask(g, s)):
+        common &= g.masks[i]
+    return _names(g.vertices, common)
 
 
 def star(g, v):
     """`v` together with its link: the vertices commuting with `v`."""
-    return tuple(sorted(set(g.neighbors(v)) | {v}))
+    i = g.index(v)
+    return _names(g.vertices, g.masks[i] | 1 << i)
 
 
 def _vertex_mask(g, s):
@@ -291,21 +280,23 @@ def _vertex_mask(g, s):
     sorted order, as in `SimplicialGraph.masks`."""
     idx = g._index
     m = 0
-    missing = []
+    missing = set()
     for v in s:
         i = idx.get(v)
         if i is None:
-            missing.append(v)
+            missing.add(v)
         else:
             m |= 1 << i
     if missing:
-        _vertex_set(g, missing)  # raises, naming them
+        raise DomainError("not vertices of the graph: %s"
+                          % ", ".join(map(repr, sorted(missing))))
     return m
 
 
 def _names(vs, m):
-    """The names of the bits of `m`, in sorted order; walks the set bits
-    only, so a sparse mask costs its size, not the graph's."""
+    """The names of the bits of `m`, in sorted order (with `range(n)` for
+    `vs`, the bit indices); walks the set bits only, so a sparse mask costs
+    its size, not the graph's."""
     out = []
     while m:
         b = m & -m
@@ -375,25 +366,14 @@ def is_connected(g):
     return not _splits(g.masks, _full_mask(g))
 
 
-def join_factors(g):
-    """Partition of the vertices into the factors of the finest join
-    decomposition: the components of the complement graph. A single factor
-    means the group is directly indecomposable; several factors mean the
-    group is the direct product of the corresponding standard subgroups.
-
-    The complement is searched without being built: a frontier reaches
-    the vertices outside the AND of its members' adjacency masks. Factors
-    come in order of least vertex.
-
-    >>> join_factors(parse_graph("graph { a -- b; b -- c; a -- c }"))
-    [('a',), ('b',), ('c',)]
-    """
-    masks = g.masks
-    rest = _full_mask(g)
+def _join_masks(masks, allowed):
+    """`join_factors` of the subgraph on `allowed`, as bitmasks. The
+    complement is searched without being built: a frontier reaches the
+    vertices outside the AND of its members' adjacency masks."""
     factors = []
-    while rest:
-        left = rest & (rest - 1)  # all but the least vertex, the seed
-        frontier = rest ^ left
+    while allowed:
+        left = allowed & (allowed - 1)  # all but the least vertex, the seed
+        frontier = allowed ^ left
         while frontier and left:
             common = left  # the vertices adjacent to the whole frontier
             while frontier and common:
@@ -402,9 +382,22 @@ def join_factors(g):
                 frontier ^= b
             frontier = left ^ common
             left = common
-        factors.append(_names(g.vertices, rest ^ left))
-        rest = left
+        factors.append(allowed ^ left)
+        allowed = left
     return factors
+
+
+def join_factors(g):
+    """Partition of the vertices into the factors of the finest join
+    decomposition: the components of the complement graph. A single factor
+    means the group is directly indecomposable; several factors mean the
+    group is the direct product of the corresponding standard subgroups.
+    Factors come in order of least vertex.
+
+    >>> join_factors(parse_graph("graph { a -- b; b -- c; a -- c }"))
+    [('a',), ('b',), ('c',)]
+    """
+    return [_names(g.vertices, f) for f in _join_masks(g.masks, _full_mask(g))]
 
 
 def is_clique(g, s):
@@ -429,8 +422,15 @@ def _mcs_m(g):
     vertex index, the indices of its H-neighbours numbered before it: its
     neighbours later in the elimination order. O(n * m) time.
     """
-    idx = g._index
-    adj = [[idx[u] for u in g._adj[v]] for v in g.vertices]
+    adj = [[] for _ in g.masks]
+    for i, m in enumerate(g.masks):
+        m >>= i + 1  # each edge once, from its lower end
+        while m:
+            b = m & -m
+            j = i + b.bit_length()
+            adj[i].append(j)
+            adj[j].append(i)
+            m ^= b
     weight = [0] * len(adj)
     numbered = [False] * len(adj)
     # level[w]: bitmask of the unnumbered vertices of weight w; top is the

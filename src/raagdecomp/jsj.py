@@ -71,8 +71,7 @@ def _build(base, groups, raw_edges):
 def hnn_split(g: SimplicialGraph, v: str) -> GraphOfGroups:
     """One-node splitting with stable letter `v`: the node carries everything
     but `v`, the loop carries the link of `v`."""
-    if v not in g._index:
-        raise DomainError("vertex %r is not in the graph" % (v,))
+    g.index(v)  # an unknown vertex raises DomainError
     rest = tuple(u for u in g.vertices if u != v)
     return _build(g, [rest], [(0, 0, link(g, (v,)), v)])
 
@@ -80,8 +79,7 @@ def hnn_split(g: SimplicialGraph, v: str) -> GraphOfGroups:
 def star_amalgam_split(g: SimplicialGraph, v: str) -> GraphOfGroups:
     """Two-node splitting along the link of `v`: everything but `v` glued to
     the star of `v` over the link."""
-    if v not in g._index:
-        raise DomainError("vertex %r is not in the graph" % (v,))
+    g.index(v)  # an unknown vertex raises DomainError
     if g.vertices == (v,):
         raise DomainError("star amalgam needs more than the single vertex %r" % (v,))
     rest = tuple(u for u in g.vertices if u != v)

@@ -7,8 +7,8 @@ All enumeration is guarded by an `OracleBudget`, and hitting a cap raises
 `BudgetExceededError` naming the offending dimension.
 """
 
-from collections import OrderedDict
 from dataclasses import dataclass
+import functools
 from itertools import combinations
 from typing import List, Optional
 
@@ -25,7 +25,7 @@ class OracleBudget:
     max_states: int = 1_000_000
 
 
-def _component_count(g, sub):
+def _component_count(adj, sub):
     """Number of components of the full subgraph on the vertex set `sub`,
     by a search over vertex names; the production graph layer answers the
     same question on bitmasks, and the oracle must not share that code."""
@@ -35,17 +35,17 @@ def _component_count(g, sub):
         count += 1
         frontier = [rest.pop()]
         while frontier:
-            for y in g.neighbors(frontier.pop()):
+            for y in adj[frontier.pop()]:
                 if y in rest:
                     rest.remove(y)
                     frontier.append(y)
     return count
 
 
-def _is_clique(g, s):
+def _is_clique(adj, s):
     """True when every two members of `s` are adjacent."""
     s = sorted(s)
-    return all(g.adjacent(u, v) for i, u in enumerate(s) for v in s[i + 1:])
+    return all(v in adj[u] for i, u in enumerate(s) for v in s[i + 1:])
 
 
 def brute_clique_separators(g: SimplicialGraph, budget: Optional[OracleBudget] = None):
@@ -53,7 +53,11 @@ def brute_clique_separators(g: SimplicialGraph, budget: Optional[OracleBudget] =
     budget = budget or OracleBudget()
     if not g.vertices:
         return []
-    if _component_count(g, g.vertices) > 1:
+    adj = {v: set() for v in g.vertices}  # off the edges, not the masks
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    if _component_count(adj, g.vertices) > 1:
         raise DomainError("brute_clique_separators requires a connected graph")
     if len(g.vertices) > budget.max_vertices:
         raise BudgetExceededError(
@@ -66,9 +70,9 @@ def brute_clique_separators(g: SimplicialGraph, budget: Optional[OracleBudget] =
     for size in range(len(g.vertices)):
         for comb in combinations(g.vertices, size):
             s = set(comb)
-            if not _is_clique(g, s):
+            if not _is_clique(adj, s):
                 continue
-            if _component_count(g, vset - s) >= 2:
+            if _component_count(adj, vset - s) >= 2:
                 hits.append(frozenset(s))
     minimal = [s for s in hits if not any(t < s for t in hits)]
     return sorted((tuple(sorted(s)) for s in minimal), key=lambda t: (len(t), t))
@@ -92,20 +96,12 @@ def bfs_equal(w1: Word, w2: Word, budget: Optional[OracleBudget] = None) -> bool
         _encode(g, w1.letters), _encode(g, w2.letters), g.masks, budget.max_states)
 
 
-_BALL_CACHE: "OrderedDict" = OrderedDict()
-_BALL_CACHE_LIMIT = 32
-
-
+@functools.lru_cache(maxsize=32)
 def _enumerated_ball(g: SimplicialGraph, max_len: int, max_states: int):
     """All canonical words of length <= max_len, found by extending canonical
     words letter by letter and keeping a candidate exactly when the
     breadth-first closure confirms it is its own shortlex-least geodesic.
-    Sorted shortlex. Cached per (graph, radius)."""
-    key = (g, max_len)
-    hit = _BALL_CACHE.get(key)
-    if hit is not None:
-        _BALL_CACHE.move_to_end(key)
-        return hit
+    Sorted shortlex. Cached per (graph, radius, state cap)."""
     masks = g.masks
     letters = range(2 * len(g.vertices))
     out = [b""]
@@ -128,11 +124,7 @@ def _enumerated_ball(g: SimplicialGraph, max_len: int, max_states: int):
             out.append(cand)
             stack.append(cand)
     out.sort(key=lambda b: (len(b), b))
-    result = tuple(out)
-    _BALL_CACHE[key] = result
-    while len(_BALL_CACHE) > _BALL_CACHE_LIMIT:
-        _BALL_CACHE.popitem(last=False)
-    return result
+    return tuple(out)
 
 
 def commuting_words(g: SimplicialGraph, w: Word, max_len: int,

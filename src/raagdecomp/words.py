@@ -18,8 +18,7 @@ from typing import Iterable, Tuple
 
 from . import kernels
 from .errors import BudgetExceededError, DomainError
-from .graphs import (SimplicialGraph, induced_subgraph, join_factors, link,
-                     _vertex_set)
+from .graphs import SimplicialGraph, link, _join_masks, _names, _vertex_mask
 
 Letter = Tuple[str, int]
 
@@ -155,8 +154,9 @@ def support(w) -> Tuple[str, ...]:
 
 def retract(w: Word, s) -> Word:
     """Image under the retraction killing every generator outside `s`."""
-    s = _vertex_set(w.graph, s)
-    return Word(w.graph, tuple(l for l in w.letters if l[0] in s))
+    m = _vertex_mask(w.graph, s)
+    idx = w.graph._index
+    return Word(w.graph, tuple(l for l in w.letters if m >> idx[l[0]] & 1))
 
 
 def power(w: Word, k: int) -> Word:
@@ -325,9 +325,8 @@ def primitive_root(w, max_linearizations: int = 100_000) -> Tuple[NormalForm, in
         raise DomainError("primitive_root requires a nontrivial word")
     if _peel(codes, masks)[1]:
         raise DomainError("primitive_root requires a cyclically reduced word")
-    vs = g.vertices
-    supp = tuple(sorted({vs[b >> 1] for b in codes}))
-    if len(join_factors(induced_subgraph(g, supp))) > 1:
+    supp = _vertex_mask(g, {g.vertices[x >> 1] for x in set(codes)})
+    if len(_join_masks(masks, supp)) > 1:
         raise DomainError("support splits as a join; factor the word first")
     n = len(codes)
     for k in _divisors_descending(n):
@@ -408,9 +407,10 @@ def centralizer_descriptor(w: Word, mode: str = "pro-p") -> CentralizerDescripto
         raise DomainError("mode must be 'pro-p' or 'pro-C', got %r" % (mode,))
     g = w.graph
     red, conj = cyclically_reduce(w)
-    supp = tuple(sorted({name for name, _ in red.letters}))
+    supp = {name for name, _ in red.letters}
     factors = []
-    for part in join_factors(induced_subgraph(g, supp)):
+    for f in _join_masks(g.masks, _vertex_mask(g, supp)):
+        part = _names(g.vertices, f)
         inside = set(part)
         piece = Word(g, tuple(l for l in red.letters if l[0] in inside))
         root, exponent = primitive_root(piece)

@@ -1,12 +1,13 @@
 """Arbitrary input ends in an answer or a `RaagError`, never a traceback.
 
 Graph text is fuzzed as arbitrary JSON values and as DOT token soup, word
-text as arbitrary token strings. The parsers must return or raise a
-`RaagError`; `cli.main` on the same input must return one of the
-documented exit codes (0 success, 1 input problem, 2 validation failure,
-3 budget exceeded) with no exception escaping. Words given to the command
-line stay at 30 letters or fewer, so a generic word's centralizer stays
-cheap.
+text as arbitrary token strings, and the edge lists given to
+`SimplicialGraph` as arbitrary values. The parsers and the constructor
+must return or raise a `RaagError`; `cli.main` on the same input must
+return one of the documented exit codes (0 success, 1 input problem, 2
+validation failure, 3 budget exceeded) with no exception escaping. Words
+given to the command line stay at 30 letters or fewer, so a generic
+word's centralizer stays cheap.
 """
 
 import json
@@ -67,6 +68,21 @@ def _checked(parse, *args):
 @settings(deadline=None, max_examples=300)
 def test_parse_graph_answers_or_raises_a_raag_error(text):
     g = _checked(parse_graph, text)
+    assert g is None or isinstance(g, SimplicialGraph)
+
+
+# edges as any Python value: pairs, other tuples, None, numbers, and
+# endpoints that cannot be hashed
+ENDPOINTS = NAMES | st.none() | st.integers() | st.lists(NAMES, max_size=2)
+EDGES = st.lists(st.tuples(ENDPOINTS, ENDPOINTS)
+                 | st.lists(ENDPOINTS, max_size=3).map(tuple)
+                 | JSON_VALUES, max_size=6)
+
+
+@given(st.lists(NAMES, max_size=6), EDGES)
+@settings(deadline=None, max_examples=300)
+def test_graph_constructor_answers_or_raises_a_raag_error(vertices, edges):
+    g = _checked(SimplicialGraph, vertices, edges)
     assert g is None or isinstance(g, SimplicialGraph)
 
 

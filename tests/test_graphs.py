@@ -41,9 +41,27 @@ class TestConstruction:
         with pytest.raises(GraphValidationError):
             SimplicialGraph(("",), [])
 
+    @pytest.mark.parametrize("edge", [("a", "b", "c"), None, (["a"], "b"),
+                                      ("a", {}), 3])
+    def test_malformed_edge_rejected(self, edge):
+        with pytest.raises(GraphValidationError) as info:
+            SimplicialGraph(("a", "b"), [edge])
+        assert str(info.value) == \
+            "each edge must be a pair of vertex names, got %r" % (edge,)
+
     def test_masks_match_adjacency(self, p4):
         # vertices a,b,c,d -> indices 0..3; edges ab, bc, cd
         assert p4.masks == (0b0010, 0b0101, 0b1010, 0b0100)
+
+    def test_adjacency_of_unknown_vertices(self, p4):
+        for ask in (lambda: p4.adjacent("z", "a"), lambda: p4.neighbors("z"),
+                    lambda: p4.index("z"), lambda: star(p4, "z")):
+            with pytest.raises(DomainError) as info:
+                ask()
+            assert str(info.value) == "vertex 'z' is not in the graph"
+        assert p4.adjacent("a", "z") is False
+        assert p4.adjacent("a", "b") is True
+        assert p4.neighbors("b") == frozenset({"a", "c"})
 
 
 class TestParsing:
@@ -125,6 +143,7 @@ class TestStructure:
         assert link(p4, {"a", "c"}) == ("b",)
         assert link(p4, {"a", "d"}) == ()
         assert star(p4, "b") == ("a", "b", "c")
+        assert link(p4, set()) == p4.vertices
 
     def test_link_unknown_vertex(self, p4):
         with pytest.raises(DomainError):

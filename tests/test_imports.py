@@ -69,3 +69,37 @@ def test_all_lists_the_public_names():
               and not isinstance(value, types.ModuleType)}
     assert sorted(raagdecomp.__all__) == sorted(public)
     assert len(set(raagdecomp.__all__)) == len(raagdecomp.__all__)
+
+
+# What the oracles may take from the production modules: the graph type,
+# the word types and letter codes, and the closure kernels. A production
+# search routed into an oracle would make the cross-checks compare the
+# production code with itself.
+ORACLE_IMPORTS = {
+    "graphs": {"SimplicialGraph"},
+    "words": {"NormalForm", "Word", "_decode", "_encode", "_same_graph"},
+    "kernels": {"closure_canonical", "closure_equal"},
+}
+
+
+def test_oracles_import_only_the_allowlisted_production_names():
+    tree = ast.parse((PACKAGE / "oracles.py").read_text())
+    taken = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                if node.module is None:  # from . import module
+                    taken.setdefault(alias.name, set())
+                else:
+                    taken.setdefault(node.module, set()).add(alias.name)
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.startswith("raagdecomp") for a in node.names)
+    # a module imported whole is used through its attributes
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and \
+                isinstance(node.value, ast.Name) and node.value.id in taken:
+            taken[node.value.id].add(node.attr)
+    taken.pop("errors", None)  # the exception types carry no logic
+    beyond = {module: sorted(names - ORACLE_IMPORTS.get(module, set()))
+              for module, names in taken.items()}
+    assert {module: names for module, names in beyond.items() if names} == {}

@@ -84,6 +84,15 @@ class TestEnumeratedBall:
         # lattice points of Z^2 with L1 norm at most 2
         assert len(_enumerated_ball(g, 2, 10_000)) == 13
 
+    def test_cache_keeps_the_state_cap(self):
+        # a ball enumerated under a large cap is not served to a call
+        # whose cap refuses it
+        g = SimplicialGraph(("a", "b", "c"), [("a", "b"), ("b", "c")])
+        assert len(_enumerated_ball(g, 3, 10**6)) == 99
+        with pytest.raises(BudgetExceededError) as info:
+            _enumerated_ball(g, 3, 1)
+        assert info.value.dimension == "max_states"
+
     def test_ball_is_shortlex_sorted(self, p4):
         ball = _enumerated_ball(p4, 3, 100_000)
         assert list(ball) == sorted(ball, key=lambda b: (len(b), b))

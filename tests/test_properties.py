@@ -11,9 +11,10 @@ from raagdecomp import (BudgetExceededError, CentralizerDescriptor,
                         graph_to_dot, induced_subgraph, is_clique,
                         is_connected, join_factors, link, normal_form,
                         parse_graph, parse_word, power, primitive_root,
-                        reduce, support, word_text)
+                        reduce, star, support, word_text)
 from raagdecomp import kernels, words, _pykernel
-from raagdecomp.graphs import _component_masks, _names, _splits, _vertex_mask
+from raagdecomp.graphs import (_component_masks, _join_masks, _names,
+                               _splits, _vertex_mask)
 from raagdecomp.jsj import _build
 from raagdecomp.words import _encode
 
@@ -200,9 +201,20 @@ def test_dot_round_trip_any_names(g):
 # --- the graph layer's bitmask searches against plain set searches -------
 
 
+def _edge_adjacency(g):
+    """Vertex name -> frozenset of neighbour names, read off `g.edges`
+    alone, so that the references below never read the masks they check."""
+    adj = {v: set() for v in g.vertices}
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return {v: frozenset(s) for v, s in adj.items()}
+
+
 def _set_components(g, sub):
     """Components of the subgraph on `sub` by a search over name sets,
     sorted by least member."""
+    adj = _edge_adjacency(g)
     sub = set(sub)
     comps = []
     while sub:
@@ -210,7 +222,7 @@ def _set_components(g, sub):
         comp = {root}
         frontier = [root]
         while frontier:
-            for y in g.neighbors(frontier.pop()):
+            for y in adj[frontier.pop()]:
                 if y in sub and y not in comp:
                     comp.add(y)
                     frontier.append(y)
@@ -222,13 +234,14 @@ def _set_components(g, sub):
 def _set_join_factors(g):
     """Components of the complement graph by a search over name sets, as
     sorted tuples in order of least member."""
+    adj = _edge_adjacency(g)
     rest = set(g.vertices)
     factors = []
     while rest:
         comp = {min(rest)}
         frontier = list(comp)
         while frontier:
-            far = rest - comp - g.neighbors(frontier.pop())
+            far = rest - comp - adj[frontier.pop()]
             comp |= far
             frontier.extend(far)
         rest -= comp
@@ -237,8 +250,9 @@ def _set_join_factors(g):
 
 
 def _set_is_clique(g, s):
+    adj = _edge_adjacency(g)
     s = sorted(set(s))
-    return all(g.adjacent(u, v) for i, u in enumerate(s) for v in s[i + 1:])
+    return all(v in adj[u] for i, u in enumerate(s) for v in s[i + 1:])
 
 
 @st.composite
@@ -277,6 +291,9 @@ def test_bitmask_searches_match_set_searches(case):
                               for v in vs[i + 1:] if not g.adjacent(u, v)])
     assert [join_factors(h) for h in (g, co)] == \
         [_set_join_factors(h) for h in (g, co)]
+    assert [[_names(vs, f) for f in _join_masks(h.masks, _vertex_mask(h, sub))]
+            for h in (g, co)] == \
+        [join_factors(induced_subgraph(h, sub)) for h in (g, co)]
     assert is_clique(g, clique) == _set_is_clique(g, clique)
     assert is_clique(g, sub) == _set_is_clique(g, sub)
     assert is_clique(g, clique + sub) == _set_is_clique(g, clique + sub)
@@ -290,6 +307,41 @@ def test_bitmask_searches_match_set_searches(case):
             (len(_set_components(g, rest)) >= 2)
     assert _splits(g.masks, _vertex_mask(g, sub)) == \
         (len(_set_components(g, sub)) >= 2)
+
+
+@st.composite
+def adjacency_cases(draw):
+    """A random graph, some of 200 vertices or more, a vertex of it, a
+    vertex of it or a name outside it, and a vertex subset."""
+    n = draw(st.integers(min_value=1, max_value=40)
+             | st.integers(min_value=200, max_value=260))
+    names = ["v%03d" % i for i in range(n)]
+    index = st.integers(min_value=0, max_value=n - 1)
+    pairs = draw(st.lists(st.tuples(index, index), max_size=3 * n))
+    g = SimplicialGraph(names, {(names[min(i, j)], names[max(i, j)])
+                                for i, j in pairs if i != j})
+    u = draw(st.sampled_from(names))
+    v = draw(st.sampled_from(names + ["nowhere"]))
+    sub = [names[i] for i in draw(st.lists(index, unique=True, max_size=8))]
+    return g, u, v, sub
+
+
+@given(adjacency_cases())
+@settings(deadline=None)
+def test_masks_are_the_edges(case):
+    g, u, v, sub = case
+    vs = g.vertices
+    pairs = {(vs[i], vs[j]) for i, m in enumerate(g.masks)
+             for j in range(len(vs)) if m >> j & 1}
+    assert pairs == g.edges | {(b, a) for a, b in g.edges}
+    adj = _edge_adjacency(g)
+    assert g.neighbors(u) == adj[u]
+    assert g.adjacent(u, v) == (v in adj[u])
+    assert star(g, u) == tuple(sorted(adj[u] | {u}))
+    common = frozenset(vs).intersection(*(adj[x] for x in sub))
+    assert link(g, sub) == tuple(sorted(common - set(sub)))
+    assert induced_subgraph(g, sub) == SimplicialGraph(
+        sub, [e for e in g.edges if set(e) <= set(sub)])
 
 
 # --- reduce against the edge-scanning loop it replaced -------------------
