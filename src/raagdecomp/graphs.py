@@ -25,6 +25,9 @@ import re
 from .errors import DomainError, GraphParseError, GraphValidationError
 
 
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
 class SimplicialGraph:
     """Immutable finite simple graph with string-named vertices.
 
@@ -32,7 +35,7 @@ class SimplicialGraph:
     `masks[i]` is the bitmask of the neighbours of the i-th vertex, bit j
     standing for the j-th: the graph's one adjacency, built with it.
     Construction validates simplicity (no self-loops, no duplicate vertices,
-    edge endpoints declared).
+    edge endpoints declared) and that every name has a UTF-8 form.
     """
 
     __slots__ = ("vertices", "edges", "masks", "_index")
@@ -42,6 +45,9 @@ class SimplicialGraph:
         for v in vs:
             if not isinstance(v, str) or not v:
                 raise GraphValidationError("vertex names must be non-empty strings, got %r" % (v,))
+            if not v.isascii() and _SURROGATE.search(v):
+                raise GraphValidationError(
+                    "vertex name %r holds a lone surrogate, which has no UTF-8 form" % (v,))
         if len(set(vs)) != len(vs):
             dup = sorted(v for v in set(vs) if vs.count(v) > 1)
             raise GraphValidationError("duplicate vertex: %s" % ", ".join(dup))
@@ -239,7 +245,12 @@ def graph_to_dot(g):
 def _dot_name(name):
     if _DOT_ID.match(name):
         return name
-    return '"%s"' % name.replace("\\", "\\\\").replace('"', '\\"')
+    return '"%s"' % _dot_escape(name)
+
+
+def _dot_escape(text):
+    """`text` inside a double-quoted DOT string: `\\` and `"` escaped."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
 def induced_subgraph(g, s):
@@ -411,16 +422,19 @@ def is_complete(g):
 
 
 def _mcs_m(g):
-    """Higher neighbours in a minimal triangulation of `g`, by MCS-M.
+    """Minimal separators of a minimal triangulation of `g`, by MCS-M+.
 
     MCS-M (Berry, Blair, Heggernes and Peyton, Algorithmica 39, 2004)
     numbers the vertices from n down to 1, each time taking an unnumbered
     vertex z of largest weight. Every unnumbered u that z reaches through
     unnumbered vertices all lighter than u gains one weight and an edge to
-    z in the triangulation H. The numbering is a perfect elimination
-    order of H, which is a minimal triangulation of `g`. Returns, per
-    vertex index, the indices of its H-neighbours numbered before it: its
-    neighbours later in the elimination order. O(n * m) time.
+    z in the triangulation H, a minimal triangulation of `g`. MCS-M+
+    (Berry, Pogorelcnik and Simonet, "An introduction to clique minimal
+    separator decomposition", Algorithms 3(2), 2010) also marks z a
+    generator when its weight is at most that of the vertex numbered just
+    before it; the first vertex never is one. The minimal separators of H
+    are the sets of H-neighbours numbered before the generators. Returns
+    those sets as bitmasks, one per generator. O(n * m) time.
     """
     adj = [[] for _ in g.masks]
     for i, m in enumerate(g.masks):
@@ -437,10 +451,15 @@ def _mcs_m(g):
     # largest weight among them (0 once none is left)
     level = [(1 << len(adj)) - 1]
     top = 0
-    later = [[] for _ in adj]
+    later = [0] * len(adj)
+    generators = []
+    last = -1  # the weight of the vertex numbered before z
     for _ in adj:
         # the least index among the heaviest unnumbered vertices
         z = (level[top] & -level[top]).bit_length() - 1
+        if top <= last:
+            generators.append(z)
+        last = top
         level[top] ^= 1 << z
         numbered[z] = True
         while top and not level[top]:
@@ -478,37 +497,22 @@ def _mcs_m(g):
                     level.append(0)
             level[w + 1] |= 1 << y
             weight[y] = w + 1
-            later[y].append(z)
-    return later
+            later[y] |= 1 << z
+    return [later[z] for z in generators]
 
 
-def clique_separator_candidates(g):
-    """Disconnecting cliques of a connected graph, at most one per vertex,
-    sorted by cardinality then lexicographically.
+def _clique_minimal_separators(g):
+    """The clique minimal separators of a connected graph, as (names,
+    bitmask) pairs sorted by size, then by names.
 
-    The candidates are the sets of later neighbours of the vertices in an
-    MCS-M minimal triangulation H (see `_mcs_m`) that are cliques of `g`
-    and disconnect it. Every minimal separator of H is such a set, and the
-    clique minimal separators of `g` are the minimal separators of H that
-    are cliques of `g` (Berry, Pogorelcnik and Simonet, "An introduction
-    to clique minimal separator decomposition", Algorithms 3(2), 2010), so
-    the list holds every clique minimal separator of `g`. It also holds
-    every clique minimal separator of each piece that splitting `g` along
-    clique separators produces, since those are clique minimal separators
-    of `g` as well.
+    They are the minimal separators of a minimal triangulation that are
+    cliques of `g` (Berry, Pogorelcnik and Simonet, 2010), so no search is
+    needed: `_mcs_m` lists the minimal separators of its triangulation.
     """
     masks = g.masks
-    full = _full_mask(g)
-    found = set()
-    for later in _mcs_m(g):
-        s = 0
-        for i in later:
-            s |= 1 << i
-        if s and s not in found and _clique_mask(masks, s) and \
-                _splits(masks, full ^ s):
-            found.add(s)
-    return sorted((_names(g.vertices, s) for s in found),
-                  key=lambda t: (len(t), t))
+    found = {s for s in _mcs_m(g) if _clique_mask(masks, s)}
+    return sorted(((_names(g.vertices, s), s) for s in found),
+                  key=lambda p: (len(p[0]), p[0]))
 
 
 def clique_separators(g):
@@ -516,10 +520,10 @@ def clique_separators(g):
     by cardinality then lexicographically. Requires a connected graph; the
     empty graph yields an empty list.
 
-    Polynomial time: an MCS-M minimal triangulation (O(n * m)) yields at
-    most n candidate sets, each checked for being a disconnecting clique
-    (`clique_separator_candidates`); the inclusion-minimal candidates are
-    the answer.
+    Polynomial time: an inclusion-minimal disconnecting clique is a clique
+    minimal separator, and those come from one MCS-M+ run (O(n * m); see
+    `_clique_minimal_separators`). A separator is kept unless a smaller
+    kept one lies inside it.
 
     >>> clique_separators(parse_graph("graph { a -- b; b -- c; c -- d }"))
     [('b',), ('c',)]
@@ -529,8 +533,14 @@ def clique_separators(g):
     if not is_connected(g):
         raise DomainError("clique_separators requires a connected graph; "
                           "split into components first")
-    cands = [frozenset(t) for t in clique_separator_candidates(g)]
-    return [tuple(sorted(s)) for s in cands if not any(t < s for t in cands)]
+    kept = []
+    smaller = 0  # kept[:smaller] hold fewer vertices than k
+    for k, s in _clique_minimal_separators(g):
+        while smaller < len(kept) and len(kept[smaller][0]) < len(k):
+            smaller += 1
+        if not any(t & s == t for _, t in kept[:smaller]):
+            kept.append((k, s))
+    return [k for k, _ in kept]
 
 
 def minimum_clique_separator(g):

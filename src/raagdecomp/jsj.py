@@ -12,11 +12,11 @@ import heapq
 from typing import List, Optional, Tuple
 
 from .errors import DomainError, InvariantViolationError, RaagError
-from .graphs import (SimplicialGraph, _clique_mask, _component_masks,
-                     _full_mask, _names, _splits, _vertex_mask,
-                     clique_separator_candidates, clique_separators,
-                     hanging_vertices, induced_subgraph, is_clique,
-                     is_connected, link, star)
+from .graphs import (SimplicialGraph, _clique_mask,
+                     _clique_minimal_separators, _component_masks,
+                     _dot_escape, _full_mask, _names, _splits, _vertex_mask,
+                     clique_separators, hanging_vertices, induced_subgraph,
+                     is_clique, is_connected, link, star)
 
 
 @dataclass(frozen=True)
@@ -126,24 +126,24 @@ def _split_tree(g):
     group index) and the separators in the order their pieces split.
 
     A piece splits along the least clique separator of the full subgraph
-    on it. The candidates of `g` hold every clique minimal separator of
-    every piece, so the least one is the first candidate, in (size, lex)
-    order, that lies inside the piece and disconnects it. It also comes
-    after the separator its parent split along, so the scan of a piece
-    starts there. The pieces of a split are the separator plus each
-    component left after deleting it, in order of least vertex; the
-    pieces of consecutive components are joined at their lexicographically
-    least group containing the separator. An explicit stack takes the
-    pieces depth first, so the depth of the tree costs no recursion.
-    Pieces and separators are vertex bitmasks (see `graphs._reach`).
+    on it. The clique minimal separators of `g` include those of every
+    piece, so the least one is the first of them, in (size, lex) order,
+    that lies inside the piece and disconnects it. It also comes after the
+    separator its parent split along, so the scan of a piece starts there.
+    The pieces of a split are the separator plus each component left after
+    deleting it, in order of least vertex; the pieces of consecutive
+    components are joined at their lexicographically least group
+    containing the separator. An explicit stack takes the pieces depth
+    first, so the depth of the tree costs no recursion. Pieces and
+    separators are vertex bitmasks (see `graphs._reach`).
     """
     masks = g.masks
-    candidates = [(k, _vertex_mask(g, k)) for k in clique_separator_candidates(g)]
+    separators = _clique_minimal_separators(g)
     groups: list = []
     bits: list = []  # the bitmask of each group
     edges: list = []
     used: list = []
-    # a piece is (vertices, first candidate to try, the group offsets of its
+    # a piece is (vertices, first separator to try, the group offsets of its
     # split); the split itself, (separator, None, offsets), is taken after
     # all its pieces, when it joins them
     stack = [(_full_mask(g), 0, None)]
@@ -161,12 +161,12 @@ def _split_tree(g):
             continue
         if offsets is not None:
             offsets.append(len(groups))
-        pos = _first_split(masks, part, candidates, first)
+        pos = _first_split(masks, part, separators, first)
         if pos is None:
             groups.append(_names(g.vertices, part))
             bits.append(part)
             continue
-        k, kmask = candidates[pos]
+        k, kmask = separators[pos]
         used.append(k)
         mine: list = []
         stack.append(((k, kmask), None, mine))
@@ -175,13 +175,13 @@ def _split_tree(g):
     return groups, edges, used
 
 
-def _first_split(masks, piece, candidates, first):
-    """Index of the first candidate from `first` on that lies inside
+def _first_split(masks, piece, separators, first):
+    """Index of the first separator from `first` on that lies inside
     `piece` and disconnects it, or None; complete pieces never split."""
     if _clique_mask(masks, piece):
         return None
-    for pos in range(first, len(candidates)):
-        kmask = candidates[pos][1]
+    for pos in range(first, len(separators)):
+        kmask = separators[pos][1]
         if piece | kmask == piece and _splits(masks, piece ^ kmask):
             return pos
     return None
@@ -422,11 +422,11 @@ def validate(gog: GraphOfGroups, abelian: bool = False) -> List[CheckResult]:
         return ""
 
     def covering():
-        stable = {e.stable_letter for e in gog.edges if e.stable_letter}
+        covered = {e.stable_letter for e in gog.edges}
+        for n in gog.nodes:
+            covered.update(n.group)
         for v in base.vertices:
-            if v in stable:
-                continue
-            if not any(v in n.group for n in gog.nodes):
+            if v not in covered:
                 return "vertex %r is in no node group and no stable letter" % v
         return ""
 
@@ -469,17 +469,18 @@ def gog_to_json_obj(gog: GraphOfGroups) -> dict:
 
 
 def gog_to_dot(gog: GraphOfGroups) -> str:
-    def label(group):
-        return "{%s}" % ",".join(group)
+    def label(group, stable=None):
+        text = "{%s}" % ",".join(group)
+        if stable is not None:
+            text += " / stable %s" % stable
+        return _dot_escape(text)
 
     lines = ["graph decomposition {"]
     for n in sorted(gog.nodes, key=lambda n: n.id):
         lines.append('  n%d [label="%s"];' % (n.id, label(n.group)))
     for e in sorted(gog.edges, key=lambda e: e.id):
-        text = label(e.group)
-        if e.stable_letter is not None:
-            text += " / stable %s" % e.stable_letter
-        lines.append('  n%d -- n%d [label="%s"];' % (e.ends[0], e.ends[1], text))
+        lines.append('  n%d -- n%d [label="%s"];'
+                     % (e.ends[0], e.ends[1], label(e.group, e.stable_letter)))
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -48,6 +48,15 @@ def _is_clique(adj, s):
     return all(v in adj[u] for i, u in enumerate(s) for v in s[i + 1:])
 
 
+def _check_vertices(g, budget):
+    if len(g.vertices) > budget.max_vertices:
+        raise BudgetExceededError(
+            "graph has %d vertices, budget allows %d"
+            % (len(g.vertices), budget.max_vertices),
+            dimension="max_vertices", consumed=len(g.vertices),
+            limit=budget.max_vertices)
+
+
 def brute_clique_separators(g: SimplicialGraph, budget: Optional[OracleBudget] = None):
     """Inclusion-minimal disconnecting cliques by trying every subset."""
     budget = budget or OracleBudget()
@@ -59,12 +68,7 @@ def brute_clique_separators(g: SimplicialGraph, budget: Optional[OracleBudget] =
         adj[v].add(u)
     if _component_count(adj, g.vertices) > 1:
         raise DomainError("brute_clique_separators requires a connected graph")
-    if len(g.vertices) > budget.max_vertices:
-        raise BudgetExceededError(
-            "graph has %d vertices, budget allows %d"
-            % (len(g.vertices), budget.max_vertices),
-            dimension="max_vertices", consumed=len(g.vertices),
-            limit=budget.max_vertices)
+    _check_vertices(g, budget)
     vset = set(g.vertices)
     hits = []
     for size in range(len(g.vertices)):
@@ -134,12 +138,7 @@ def commuting_words(g: SimplicialGraph, w: Word, max_len: int,
     budget = budget or OracleBudget()
     if w.graph != g:
         raise DomainError("word does not live over the given graph")
-    if len(g.vertices) > budget.max_vertices:
-        raise BudgetExceededError(
-            "graph has %d vertices, budget allows %d"
-            % (len(g.vertices), budget.max_vertices),
-            dimension="max_vertices", consumed=len(g.vertices),
-            limit=budget.max_vertices)
+    _check_vertices(g, budget)
     if max_len + len(w.letters) > budget.max_word_length:
         raise BudgetExceededError(
             "radius %d plus word length %d exceeds max_word_length=%d"

@@ -141,17 +141,27 @@ def cli_calls():
                                     "--op", op, "--mode", mode]
 
 
+def _stream(data, errors="strict"):
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
+                            errors=errors, newline="\n")
+
+
 def cli_run(text, argv):
-    """(exit code, stdout, stderr) of `main(argv)` with `text` on stdin."""
-    out, err = io.StringIO(), io.StringIO()
+    """(exit code, stdout, stderr) of `main(argv)` with `text` on stdin.
+
+    The streams are UTF-8 text over bytes, as a process's are: writing
+    text that has no UTF-8 form to stdout raises, stderr escapes it."""
+    out, err = _stream(b""), _stream(b"", "backslashreplace")
     saved = sys.stdin
-    sys.stdin = io.StringIO(text)
+    sys.stdin = _stream(text.encode())
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
+            out.flush()
+            err.flush()
     finally:
         sys.stdin = saved
-    return code, out.getvalue(), err.getvalue()
+    return code, out.buffer.getvalue().decode(), err.buffer.getvalue().decode()
 
 
 def cli_digests():

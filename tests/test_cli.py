@@ -212,6 +212,21 @@ class TestElement:
         assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "-"],
+    ["jsj", "-", "--format", "dot"],
+    ["jsj", "-", "--mode", "abelian", "--format", "dot"],
+    ["element", "-", "--word", "b"],
+])
+def test_lone_surrogate_name_is_an_input_error(argv):
+    # the name has no UTF-8 form, so no output could carry it
+    text = '{"vertices": ["\\ud800", "b"], "edges": [["\\ud800", "b"]]}'
+    code, out, err = golden.cli_run(text, argv)
+    assert (code, out) == (1, "")
+    assert err == "error: vertex name '\\ud800' holds a lone surrogate, " \
+        "which has no UTF-8 form\n"
+
+
 def test_output_bytes_match_golden_digests():
     # exit codes, stdout and stderr of every subcommand on the seeded
     # command line corpus (see golden.py)

@@ -5,7 +5,9 @@ text as arbitrary token strings, and the edge lists given to
 `SimplicialGraph` as arbitrary values. The parsers and the constructor
 must return or raise a `RaagError`; `cli.main` on the same input must
 return one of the documented exit codes (0 success, 1 input problem, 2
-validation failure, 3 budget exceeded) with no exception escaping. Words
+validation failure, 3 budget exceeded) with no exception escaping, its
+output going to UTF-8 streams as a process's does (see `golden.cli_run`),
+so a name with no UTF-8 form must not reach the output. Words
 given to the command line stay at 30 letters or fewer, so a generic
 word's centralizer stays cheap.
 """
@@ -21,7 +23,8 @@ from golden import cli_run
 
 EXIT_CODES = {0, 1, 2, 3}
 
-NAMES = st.sampled_from(["a", "b", "c", "d", "e", "v1", "x_2", "é", ""])
+NAMES = st.sampled_from(["a", "b", "c", "d", "e", "v1", "x_2", "é", "",
+                         "\ud800"])
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | NAMES

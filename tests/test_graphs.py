@@ -41,6 +41,15 @@ class TestConstruction:
         with pytest.raises(GraphValidationError):
             SimplicialGraph(("",), [])
 
+    def test_lone_surrogate_name_rejected(self):
+        # no UTF-8 stream can carry it, so it may not reach the output
+        with pytest.raises(GraphValidationError, match="lone surrogate"):
+            SimplicialGraph(("\ud800", "b"), [("\ud800", "b")])
+        with pytest.raises(GraphValidationError, match="lone surrogate"):
+            parse_graph('{"vertices": ["x\\udfff"], "edges": []}')
+        assert SimplicialGraph(("\U0001d400", "é"), []).vertices == \
+            ("é", "\U0001d400")
+
     @pytest.mark.parametrize("edge", [("a", "b", "c"), None, (["a"], "b"),
                                       ("a", {}), 3])
     def test_malformed_edge_rejected(self, edge):

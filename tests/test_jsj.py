@@ -4,8 +4,8 @@ import pytest
 
 from raagdecomp import (DomainError, GraphOfGroups, SimplicialGraph,
                         abelian_jsj, amalgam_split, gog_to_dot,
-                        gog_to_json_obj, hnn_split, jsj_report, reduce,
-                        relative_jsj, star_amalgam_split, validate)
+                        gog_to_json_obj, hnn_split, jsj_report, parse_graph,
+                        reduce, relative_jsj, star_amalgam_split, validate)
 from raagdecomp.jsj import _build
 
 
@@ -200,6 +200,11 @@ class TestValidate:
     def test_detects_uncovered_vertex(self, p4):
         gog = _build(p4, [("a", "b")], [])
         assert "covering" in all_passed(validate(gog))
+        # a stable letter covers its vertex; the first one left is reported
+        gog = _build(p4, [("a", "b")], [(0, 0, ("b",), "c")])
+        covering = [c for c in validate(gog) if c.name == "covering"]
+        assert [c.detail for c in covering] == \
+            ["vertex 'd' is in no node group and no stable letter"]
 
     def test_abelian_rejects_hanging_vertex_in_node(self, p4):
         # the relative tree keeps the hanging endpoints a and d
@@ -225,4 +230,19 @@ class TestSerialization:
             '  n0 [label="{b,c}"];\n'
             '  n0 -- n0 [label="{b} / stable a"];\n'
             '  n0 -- n0 [label="{c} / stable d"];\n'
+            '}\n')
+
+    def test_dot_labels_escape_quotes_and_backslashes(self):
+        g = parse_graph(r'graph { "x\"y" -- b; "p\\" -- b }')
+        assert gog_to_dot(relative_jsj(g)) == (
+            'graph decomposition {\n'
+            r'  n0 [label="{b,p\\}"];' '\n'
+            r'  n1 [label="{b,x\"y}"];' '\n'
+            '  n0 -- n1 [label="{b}"];\n'
+            '}\n')
+        assert gog_to_dot(abelian_jsj(g)) == (
+            'graph decomposition {\n'
+            '  n0 [label="{b}"];\n'
+            r'  n0 -- n0 [label="{b} / stable p\\"];' '\n'
+            r'  n0 -- n0 [label="{b} / stable x\"y"];' '\n'
             '}\n')

@@ -1,4 +1,5 @@
 from collections import deque
+import random
 import re
 
 from hypothesis import given, settings, strategies as st
@@ -8,15 +9,17 @@ from raagdecomp import (BudgetExceededError, CentralizerDescriptor,
                         CentralizerFactor, DomainError, SimplicialGraph,
                         Word, bfs_equal, centralizer_descriptor,
                         connected_components, cyclically_reduce, equal,
-                        graph_to_dot, induced_subgraph, is_clique,
-                        is_connected, join_factors, link, normal_form,
-                        parse_graph, parse_word, power, primitive_root,
-                        reduce, star, support, word_text)
+                        exhaustive_graphs, graph_to_dot, induced_subgraph,
+                        is_clique, is_connected, join_factors, link,
+                        normal_form, parse_graph, parse_word, power,
+                        primitive_root, reduce, star, support, word_text)
 from raagdecomp import kernels, words, _pykernel
-from raagdecomp.graphs import (_component_masks, _join_masks, _names,
-                               _splits, _vertex_mask)
+from raagdecomp.graphs import (_clique_minimal_separators, _component_masks,
+                               _join_masks, _names, _splits, _vertex_mask)
 from raagdecomp.jsj import _build
 from raagdecomp.words import _encode
+
+from conftest import random_connected_graph
 
 
 NAMES = "abcde"
@@ -342,6 +345,55 @@ def test_masks_are_the_edges(case):
     assert link(g, sub) == tuple(sorted(common - set(sub)))
     assert induced_subgraph(g, sub) == SimplicialGraph(
         sub, [e for e in g.edges if set(e) <= set(sub)])
+
+
+# --- the clique minimal separators against their definition -------------
+
+
+def _brute_clique_minimal_separators(g):
+    """Cliques S of g such that g - S has two or more full components,
+    components each of whose neighbourhoods is all of S; by set searches
+    over `g.edges`, sorted by size, then by names."""
+    adj = _edge_adjacency(g)
+    found = []
+    cliques = [()]  # grows while it is walked: each clique, then its extensions
+    for s in cliques:
+        rest = set(g.vertices) - set(s)
+        full = 0
+        while rest:
+            comp = {rest.pop()}
+            frontier = list(comp)
+            while frontier:
+                grow = adj[frontier.pop()] & rest
+                rest -= grow
+                comp |= grow
+                frontier.extend(grow)
+            if set(s) <= set().union(*(adj[v] for v in comp)):
+                full += 1
+        if full >= 2:
+            found.append(s)
+        cliques.extend(s + (v,) for v in g.vertices
+                       if (not s or v > s[-1]) and all(v in adj[u] for u in s))
+    return sorted(found, key=lambda t: (len(t), t))
+
+
+def _connected_cases():
+    """Every connected graph of at most 6 vertices, then seeded connected
+    graphs of 7-10 vertices at every density."""
+    for n in range(1, 7):
+        for g in exhaustive_graphs(n):
+            if len(_set_components(g, g.vertices)) == 1:
+                yield g
+    rng = random.Random(0x5E9)
+    for _ in range(500):
+        yield random_connected_graph(rng, rng.randrange(7, 11), rng.random())
+
+
+def test_clique_minimal_separators_match_definition():
+    for g in _connected_cases():
+        seps = _clique_minimal_separators(g)
+        assert [k for k, _ in seps] == _brute_clique_minimal_separators(g)
+        assert all(_names(g.vertices, m) == k for k, m in seps)
 
 
 # --- reduce against the edge-scanning loop it replaced -------------------

@@ -22,7 +22,9 @@ looks for the heaviest vertex among all the unnumbered ones is quadratic
 on any graph, and a star is where the abelian decomposition spends
 nothing else. The primitive-root budget counts the nodes of a choice tree whose paths are
 far more numerous than its distinct remainders, so it is decided without
-walking the paths.
+walking the paths. A path has a separator per inner vertex: testing each
+with a search of the whole graph, or each against every other for
+inclusion, is quadratic in its length.
 """
 
 import random
@@ -32,9 +34,9 @@ import time
 import pytest
 
 from raagdecomp import (BudgetExceededError, SimplicialGraph, Word,
-                        abelian_jsj, cyclically_reduce, equal, join_factors,
-                        jsj_report, normal_form, primitive_root,
-                        relative_jsj)
+                        abelian_jsj, clique_separators, cyclically_reduce,
+                        equal, join_factors, jsj_report, normal_form,
+                        primitive_root, relative_jsj)
 
 
 def path_graph(n):
@@ -90,6 +92,14 @@ def test_long_path_abelian():
     assert len(gog.nodes) == 997
     assert [e.stable_letter for e in gog.edges if e.is_loop] == \
         ["v0000", "v0999"]
+
+
+def test_long_path_clique_separators():
+    g = path_graph(10_000)
+    t0 = time.perf_counter()
+    seps = clique_separators(g)
+    _within("clique separators of a 10,000-vertex path", t0, 2)
+    assert seps == [(v,) for v in g.vertices[1:-1]]
 
 
 def test_sparse_report():
