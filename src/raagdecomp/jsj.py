@@ -8,6 +8,7 @@ bytes.
 """
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 import heapq
 from typing import List, Optional, Tuple
 
@@ -15,8 +16,8 @@ from .errors import DomainError, InvariantViolationError, RaagError
 from .graphs import (SimplicialGraph, _clique_mask,
                      _clique_minimal_separators, _component_masks,
                      _dot_escape, _full_mask, _names, _splits, _vertex_mask,
-                     clique_separators, hanging_vertices, induced_subgraph,
-                     is_clique, is_connected, link, star)
+                     hanging_vertices, induced_subgraph, is_clique,
+                     is_connected, link, star)
 
 
 @dataclass(frozen=True)
@@ -44,11 +45,17 @@ class GraphOfGroups:
     nodes: Tuple[GogNode, ...]
     edges: Tuple[GogEdge, ...]
 
+    @cached_property
+    def _by_id(self):
+        # the first node with an id wins; cached_property writes the
+        # instance __dict__, which the frozen __setattr__ does not guard
+        return {n.id: n for n in reversed(self.nodes)}
+
     def node(self, node_id: int) -> GogNode:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise DomainError("no node with id %d" % node_id)
+        try:
+            return self._by_id[node_id]
+        except KeyError:
+            raise DomainError("no node with id %d" % node_id) from None
 
 
 def _build(base, groups, raw_edges):
@@ -104,26 +111,31 @@ def amalgam_split(g: SimplicialGraph, k) -> GraphOfGroups:
     return _build(g, groups, edges)
 
 
-def _attach_index(groups, bits, start, count, k, kmask):
-    """Index of the attachment node inside a glued subtree: among groups
-    containing the separator, the lexicographically least group wins."""
+def _attach_index(groups, bits, start, end, k, kmask):
+    """Index of the attachment node among groups[start:end], a glued
+    subtree: among groups containing the separator, the lexicographically
+    least group wins. The amalgam edge carries the separator, so it is
+    reduced exactly when that group is more than the separator."""
     best = None
-    for i in range(start, start + count):
+    for i in range(start, end):
         if bits[i] & kmask == kmask:
             if best is None or groups[i] < groups[best]:
                 best = i
-    if best is None:
+    if best is None or bits[best] == kmask:
         raise InvariantViolationError(
-            "no subtree node group contains the separator %s" % (list(k),))
+            "no subtree node group properly contains the separator %s"
+            % (list(k),))
     return best
 
 
 def _split_tree(g):
-    """Iterated splitting of a connected graph along clique separators.
+    """Iterated splitting of a connected graph along clique separators;
+    a disconnected graph raises DomainError.
 
     Returns (groups, edges, used): the node groups, one per leaf of the
     splitting tree from left to right, the amalgam edges between them (by
-    group index) and the separators in the order their pieces split.
+    group index) and the separators in the order their pieces split. The
+    groups and edges are the relative decomposition as they stand.
 
     A piece splits along the least clique separator of the full subgraph
     on it. The clique minimal separators of `g` include those of every
@@ -133,10 +145,14 @@ def _split_tree(g):
     The pieces of a split are the separator plus each component left after
     deleting it, in order of least vertex; the pieces of consecutive
     components are joined at their lexicographically least group
-    containing the separator. An explicit stack takes the pieces depth
-    first, so the depth of the tree costs no recursion. Pieces and
-    separators are vertex bitmasks (see `graphs._reach`).
+    containing the separator, which `_attach_index` asserts is more than
+    the separator, so every edge is reduced. An explicit stack takes the
+    pieces depth first, so the depth of the tree costs no recursion. Pieces
+    and separators are vertex bitmasks (see `graphs._reach`).
     """
+    if not is_connected(g):
+        raise DomainError("decomposition requires a connected graph; "
+                          "process components separately")
     masks = g.masks
     separators = _clique_minimal_separators(g)
     groups: list = []
@@ -151,46 +167,42 @@ def _split_tree(g):
         part, first, offsets = stack.pop()
         if first is None:
             k, kmask = part
-            ends = offsets[1:] + [len(groups)]
-            for i in range(len(offsets) - 1):
-                a = _attach_index(groups, bits, offsets[i],
-                                  ends[i] - offsets[i], k, kmask)
-                b = _attach_index(groups, bits, offsets[i + 1],
-                                  ends[i + 1] - offsets[i + 1], k, kmask)
-                edges.append((a, b, k, None))
+            attach = [_attach_index(groups, bits, start, end, k, kmask)
+                      for start, end in zip(offsets,
+                                            offsets[1:] + [len(groups)])]
+            edges.extend((a, b, k, None) for a, b in zip(attach, attach[1:]))
             continue
         if offsets is not None:
             offsets.append(len(groups))
-        pos = _first_split(masks, part, separators, first)
-        if pos is None:
+        found = _first_split(masks, part, separators, first)
+        if found is None:
             groups.append(_names(g.vertices, part))
             bits.append(part)
             continue
+        pos, comps = found
         k, kmask = separators[pos]
         used.append(k)
         mine: list = []
         stack.append(((k, kmask), None, mine))
-        for comp in reversed(_component_masks(masks, part & ~kmask)):
+        for comp in reversed(comps):
             stack.append((kmask | comp, pos + 1, mine))
     return groups, edges, used
 
 
 def _first_split(masks, piece, separators, first):
-    """Index of the first separator from `first` on that lies inside
-    `piece` and disconnects it, or None; complete pieces never split."""
+    """(index, components) for the first separator from `first` on that
+    lies inside `piece` and disconnects it, or None; complete pieces never
+    split. One search finds the components of the piece minus the
+    separator, in order of least vertex."""
     if _clique_mask(masks, piece):
         return None
     for pos in range(first, len(separators)):
         kmask = separators[pos][1]
-        if piece | kmask == piece and _splits(masks, piece ^ kmask):
-            return pos
+        if piece | kmask == piece:
+            comps = _component_masks(masks, piece ^ kmask)
+            if len(comps) > 1:
+                return pos, comps
     return None
-
-
-def _require_connected(g):
-    if not is_connected(g):
-        raise DomainError("decomposition requires a connected graph; "
-                          "process components separately")
 
 
 def relative_jsj(g: SimplicialGraph) -> GraphOfGroups:
@@ -202,20 +214,8 @@ def relative_jsj(g: SimplicialGraph) -> GraphOfGroups:
     groups are abelian or separator-free and whose edge groups are
     disconnecting cliques of the input.
     """
-    _require_connected(g)
     groups, edges, _ = _split_tree(g)
-    return _relative_gog(g, groups, edges)
-
-
-def _relative_gog(g, groups, edges):
-    gog = _build(g, groups, edges)
-    for e in gog.edges:
-        if not e.is_loop and (
-                e.group == gog.node(e.ends[0]).group
-                or e.group == gog.node(e.ends[1]).group):
-            raise InvariantViolationError(
-                "construction produced a non-reduced edge %d" % e.id)
-    return gog
+    return _build(g, groups, edges)
 
 
 def abelian_jsj(g: SimplicialGraph) -> GraphOfGroups:
@@ -226,7 +226,6 @@ def abelian_jsj(g: SimplicialGraph) -> GraphOfGroups:
     whose stable letter is the vertex. Complete and separator-free graphs
     decompose trivially.
     """
-    _require_connected(g)
     groups, edges, _ = _split_tree(g)
     return _abelian_gog(g, groups, edges)
 
@@ -397,7 +396,7 @@ def validate(gog: GraphOfGroups, abelian: bool = False) -> List[CheckResult]:
             sub = induced_subgraph(base, n.group)
             if not is_connected(sub):
                 return "node %d group induces a disconnected subgraph" % n.id
-            if clique_separators(sub):
+            if _clique_minimal_separators(sub):
                 return "node %d group is neither abelian nor separator-free" % n.id
         return ""
 
@@ -431,10 +430,10 @@ def validate(gog: GraphOfGroups, abelian: bool = False) -> List[CheckResult]:
         return ""
 
     def hanging():
-        bad = hanging_vertices(base)
+        bad = set(hanging_vertices(base))
         for n in gog.nodes:
-            for v in bad:
-                if v in n.group:
+            for v in n.group:
+                if v in bad:
                     return "hanging vertex %r appears in node %d" % (v, n.id)
         return ""
 
@@ -498,10 +497,9 @@ class JsjReport:
 def jsj_report(g: SimplicialGraph) -> JsjReport:
     """Both decompositions plus their validation; raises when any check
     fails, so a returned report is always internally consistent."""
-    _require_connected(g)
     groups, edges, used = _split_tree(g)
     separators = tuple(dict.fromkeys(used))
-    rel = _relative_gog(g, groups, edges)
+    rel = _build(g, groups, edges)
     abe = _abelian_gog(g, groups, edges)
     checks = tuple(
         [replace(c, name="relative:" + c.name) for c in validate(rel)]

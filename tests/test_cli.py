@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from raagdecomp import CheckResult
 from raagdecomp.cli import main
 
 import golden
@@ -149,6 +150,38 @@ class TestJsj:
         code, _, err = run(capsys, "jsj", str(path), "--format", "dot")
         assert code == 1
         assert "connected" in err
+
+    @pytest.fixture
+    def failing_check(self, monkeypatch):
+        monkeypatch.setattr("raagdecomp.cli.validate", lambda gog, abelian:
+                            [CheckResult("shape", False, "bent")])
+
+    def test_failed_check_exits_2(self, capsys, p4_file, failing_check):
+        code, out, _ = run(capsys, "jsj", p4_file)
+        assert code == 2
+        assert json.loads(out)["validation"] == \
+            [{"name": "shape", "passed": False, "detail": "bent"}]
+
+    def test_failed_check_dot_exits_2(self, capsys, p4_file, failing_check):
+        code, out, err = run(capsys, "jsj", p4_file, "--format", "dot")
+        assert code == 2
+        assert out.startswith("graph decomposition {")
+        assert err == "failed check shape: bent\n"
+
+    def test_failed_check_disconnected_exits_2(self, capsys, tmp_path,
+                                               failing_check):
+        path = tmp_path / "two.json"
+        path.write_text('{"vertices": ["a","b","x"], "edges": [["a","b"]]}')
+        code, out, _ = run(capsys, "jsj", str(path))
+        assert code == 2
+        assert [p["validation"][0]["passed"] for p in json.loads(out)] == \
+            [False, False]
+
+    def test_failed_check_quiet_exits_2(self, capsys, p4_file,
+                                        failing_check):
+        code, out, _ = run(capsys, "jsj", p4_file, "--quiet")
+        assert code == 2
+        assert "validation" not in json.loads(out)
 
     def test_bad_mode_is_input_error(self, capsys, p4_file):
         code, _, _ = run(capsys, "jsj", p4_file, "--mode", "sideways")

@@ -2,11 +2,12 @@ from dataclasses import replace
 
 import pytest
 
-from raagdecomp import (DomainError, GraphOfGroups, SimplicialGraph,
+from raagdecomp import (DomainError, GogNode, GraphOfGroups,
+                        InvariantViolationError, SimplicialGraph,
                         abelian_jsj, amalgam_split, gog_to_dot,
                         gog_to_json_obj, hnn_split, jsj_report, parse_graph,
                         reduce, relative_jsj, star_amalgam_split, validate)
-from raagdecomp.jsj import _build
+from raagdecomp.jsj import _attach_index, _build
 
 
 def complete_graph(n):
@@ -100,10 +101,11 @@ class TestOtherGraphs:
 
     def test_disconnected_rejected(self):
         g = SimplicialGraph(("a", "b"), [])
-        with pytest.raises(DomainError, match="connected"):
-            relative_jsj(g)
-        with pytest.raises(DomainError, match="connected"):
-            abelian_jsj(g)
+        for decompose in (relative_jsj, abelian_jsj, jsj_report):
+            with pytest.raises(DomainError) as info:
+                decompose(g)
+            assert str(info.value) == ("decomposition requires a connected "
+                                       "graph; process components separately")
 
     def test_deterministic(self, tri_tail):
         assert relative_jsj(tri_tail) == relative_jsj(tri_tail)
@@ -208,8 +210,10 @@ class TestValidate:
 
     def test_abelian_rejects_hanging_vertex_in_node(self, p4):
         # the relative tree keeps the hanging endpoints a and d
-        names = all_passed(validate(relative_jsj(p4), abelian=True))
-        assert "hanging" in names
+        hanging = [c for c in validate(relative_jsj(p4), abelian=True)
+                   if c.name == "hanging"]
+        assert [(c.passed, c.detail) for c in hanging] == \
+            [(False, "hanging vertex 'a' appears in node 0")]
 
     def test_detects_wrong_flexible_flag(self, p4):
         gog = abelian_jsj(p4)
@@ -221,6 +225,36 @@ class TestValidate:
         gog = _build(p4, [("a", "b"), ("b", "c", "d")],
                      [(0, 1, ("b",), "a")])
         assert "shape" in all_passed(validate(gog))
+
+
+class TestNodeLookup:
+    def test_first_node_with_an_id_wins(self, p4):
+        first = GogNode(0, ("a", "b"), True)
+        gog = GraphOfGroups(p4, (first, GogNode(0, ("c", "d"), True)), ())
+        assert gog.node(0) is first
+
+    def test_missing_id_raises(self, p4):
+        gog = relative_jsj(p4)
+        with pytest.raises(DomainError, match="no node with id 3"):
+            gog.node(3)
+
+
+class TestAttachIndex:
+    # p4's vertices as bits: a 1, b 2, c 4, d 8; the separator is {b}
+    def test_least_group_containing_the_separator_wins(self):
+        # {b} itself is no attach point, but only the least group counts
+        groups = [("b", "c"), ("a", "b"), ("b",)]
+        assert _attach_index(groups, [6, 3, 2], 0, 3, ("b",), 2) == 1
+
+    def test_non_reduced_attach_point_is_refused(self):
+        # the edge to {b} would carry its whole group: not reduced; the
+        # subtree holding only {c, d} has no group to attach to at all
+        for groups, bits, start in [([("b", "c"), ("b",)], [6, 2], 0),
+                                    ([("a", "b"), ("c", "d")], [3, 12], 1)]:
+            with pytest.raises(InvariantViolationError, match=(
+                    r"no subtree node group properly contains the "
+                    r"separator \['b'\]")):
+                _attach_index(groups, bits, start, 2, ("b",), 2)
 
 
 class TestSerialization:

@@ -24,7 +24,10 @@ nothing else. The primitive-root budget counts the nodes of a choice tree whose 
 far more numerous than its distinct remainders, so it is decided without
 walking the paths. A path has a separator per inner vertex: testing each
 with a search of the whole graph, or each against every other for
-inclusion, is quadratic in its length.
+inclusion, is quadratic in its length. The relative decomposition of a
+star has one edge per leaf; finding each edge's ends by scanning the
+nodes, once to build it and again to validate it, is quadratic in the
+number of leaves.
 """
 
 import random
@@ -129,6 +132,18 @@ def test_big_star_abelian():
     _within("abelian decomposition of a 20,000-leaf star", t0, 5)
     assert [n.group for n in gog.nodes] == [("hub",)]
     assert len(gog.edges) == 20_000
+
+
+def test_big_star_report():
+    leaves = ["l%05d" % i for i in range(20_000)]
+    g = SimplicialGraph(["hub"] + leaves, [("hub", v) for v in leaves])
+    t0 = time.perf_counter()
+    report = jsj_report(g)
+    _within("jsj_report of a 20,000-leaf star", t0, 20)
+    assert len(report.relative.nodes) == 20_000
+    assert [e.group for e in report.relative.edges] == [("hub",)] * 19_999
+    assert [n.group for n in report.abelian.nodes] == [("hub",)]
+    assert all(c.passed for c in report.validation)
 
 
 def test_star_join_factors():
