@@ -21,8 +21,9 @@ from .jsj import (CheckResult, GogEdge, GogNode, GraphOfGroups, JsjReport,
                   hnn_split, jsj_report, reduce, relative_jsj,
                   star_amalgam_split, validate)
 from .kernels import backend_name
-from .oracles import (OracleBudget, bfs_equal, brute_clique_separators,
-                      commuting_words, exhaustive_graphs)
+from .oracles import (OracleBudget, bfs_equal, brute_atoms,
+                      brute_clique_separators, commuting_words,
+                      exhaustive_graphs)
 from .words import (CentralizerDescriptor, CentralizerFactor, NormalForm, Word,
                     centralizer_descriptor, cyclically_reduce, equal,
                     normal_form, parse_word, power, primitive_root, retract,
@@ -36,9 +37,9 @@ __all__ = [
     "GraphParseError", "GraphValidationError", "InvariantViolationError",
     "JsjReport", "NormalForm", "OracleBudget", "RaagError", "SimplicialGraph",
     "Word", "abelian_jsj", "amalgam_split", "backend_name", "bfs_equal",
-    "brute_clique_separators", "centralizer_descriptor", "clique_separators",
-    "commuting_words", "connected_components", "cyclically_reduce",
-    "equal", "exhaustive_graphs", "gog_to_dot",
+    "brute_atoms", "brute_clique_separators", "centralizer_descriptor",
+    "clique_separators", "commuting_words", "connected_components",
+    "cyclically_reduce", "equal", "exhaustive_graphs", "gog_to_dot",
     "gog_to_json_obj", "graph_to_dot", "hanging_vertices", "hnn_split",
     "induced_subgraph", "is_clique", "is_complete", "is_connected",
     "join_factors", "jsj_report", "link", "minimum_clique_separator",

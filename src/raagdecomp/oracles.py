@@ -1,8 +1,8 @@
 """Brute-force oracles used to validate the production algorithms.
 
-Everything here enumerates: subsets for separators, breadth-first move
-closures for word equality, whole words for centralizer balls. None of it
-shares logic with the production code paths; that independence is the point.
+Everything here enumerates: subsets for separators and atoms,
+breadth-first move closures for word equality, whole words for centralizer
+balls. None of it shares logic with the production code paths; that independence is the point.
 All enumeration is guarded by an `OracleBudget`, and hitting a cap raises
 `BudgetExceededError` naming the offending dimension.
 """
@@ -57,15 +57,21 @@ def _check_vertices(g, budget):
             limit=budget.max_vertices)
 
 
+def _adjacency(g):
+    """Neighbour sets by vertex name, off the edges, not the masks."""
+    adj = {v: set() for v in g.vertices}
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
 def brute_clique_separators(g: SimplicialGraph, budget: Optional[OracleBudget] = None):
     """Inclusion-minimal disconnecting cliques by trying every subset."""
     budget = budget or OracleBudget()
     if not g.vertices:
         return []
-    adj = {v: set() for v in g.vertices}  # off the edges, not the masks
-    for u, v in g.edges:
-        adj[u].add(v)
-        adj[v].add(u)
+    adj = _adjacency(g)
     if _component_count(adj, g.vertices) > 1:
         raise DomainError("brute_clique_separators requires a connected graph")
     _check_vertices(g, budget)
@@ -80,6 +86,30 @@ def brute_clique_separators(g: SimplicialGraph, budget: Optional[OracleBudget] =
                 hits.append(frozenset(s))
     minimal = [s for s in hits if not any(t < s for t in hits)]
     return sorted((tuple(sorted(s)) for s in minimal), key=lambda t: (len(t), t))
+
+
+def brute_atoms(g: SimplicialGraph, budget: Optional[OracleBudget] = None):
+    """The atoms of `g`, sorted: the maximal vertex sets that induce a
+    connected subgraph with no clique separator, each listed once.
+
+    By Leimer ("Optimal decomposition by clique separators", Discrete
+    Math. 113, 1993) the atoms of a connected graph are the node groups of
+    its decomposition by clique separators. Tries every subset, largest
+    first, and every clique inside it as a separator.
+    """
+    budget = budget or OracleBudget()
+    _check_vertices(g, budget)
+    adj = _adjacency(g)
+    atoms = []
+    for size in range(len(g.vertices), 0, -1):
+        for comb in combinations(g.vertices, size):
+            s = set(comb)
+            if any(s <= a for a in atoms) or _component_count(adj, s) != 1:
+                continue
+            if not any(_is_clique(adj, c) and _component_count(adj, s - set(c)) > 1
+                       for k in range(1, size - 1) for c in combinations(comb, k)):
+                atoms.append(s)
+    return sorted(tuple(sorted(a)) for a in atoms)
 
 
 def bfs_equal(w1: Word, w2: Word, budget: Optional[OracleBudget] = None) -> bool:

@@ -3,7 +3,8 @@ import inspect
 import pytest
 
 from raagdecomp import (BudgetExceededError, DomainError, OracleBudget,
-                        SimplicialGraph, bfs_equal, brute_clique_separators,
+                        SimplicialGraph, bfs_equal, brute_atoms,
+                        brute_clique_separators,
                         clique_separators, commuting_words, equal,
                         exhaustive_graphs, is_connected, parse_word)
 from raagdecomp.oracles import _enumerated_ball
@@ -44,6 +45,27 @@ class TestBruteSeparators:
 
     def test_empty_graph(self):
         assert brute_clique_separators(SimplicialGraph((), [])) == []
+
+
+class TestBruteAtoms:
+    def test_small_graphs(self, p4, c4, tri_tail):
+        assert brute_atoms(p4) == [("a", "b"), ("b", "c"), ("c", "d")]
+        assert brute_atoms(c4) == [("a", "b", "c", "d")]
+        assert brute_atoms(tri_tail) == [("a", "b", "c"), ("c", "d")]
+        # atoms of a disconnected graph are those of its components
+        two = SimplicialGraph(("a", "b", "c"), [("a", "b")])
+        assert brute_atoms(two) == [("a", "b"), ("c",)]
+
+    def test_empty_graph(self):
+        assert brute_atoms(SimplicialGraph((), [])) == []
+
+    def test_vertex_budget(self):
+        g = SimplicialGraph(tuple("abcdefghi"), [])
+        with pytest.raises(BudgetExceededError) as info:
+            brute_atoms(g)
+        assert (info.value.dimension, info.value.consumed,
+                info.value.limit) == ("max_vertices", 9, 8)
+        assert len(brute_atoms(g, OracleBudget(max_vertices=9))) == 9
 
 
 class TestBfsEqual:

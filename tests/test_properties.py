@@ -7,12 +7,13 @@ import pytest
 
 from raagdecomp import (BudgetExceededError, CentralizerDescriptor,
                         CentralizerFactor, DomainError, SimplicialGraph,
-                        Word, bfs_equal, centralizer_descriptor,
+                        Word, bfs_equal, brute_atoms, centralizer_descriptor,
                         connected_components, cyclically_reduce, equal,
                         exhaustive_graphs, graph_to_dot, induced_subgraph,
                         is_clique, is_connected, join_factors, link,
                         normal_form, parse_graph, parse_word, power,
-                        primitive_root, reduce, star, support, word_text)
+                        primitive_root, reduce, relative_jsj, star, support,
+                        word_text)
 from raagdecomp import kernels, words, _pykernel
 from raagdecomp.graphs import (_clique_minimal_separators, _component_masks,
                                _join_masks, _names, _splits, _vertex_mask)
@@ -394,6 +395,16 @@ def test_clique_minimal_separators_match_definition():
         seps = _clique_minimal_separators(g)
         assert [k for k, _ in seps] == _brute_clique_minimal_separators(g)
         assert all(_names(g.vertices, m) == k for k, m in seps)
+
+
+def test_relative_node_groups_are_the_atoms():
+    # Leimer: the node groups of the decomposition by clique separators
+    # are the atoms, each once; the oracle finds them by subset search
+    for n in range(1, 6):
+        for g in exhaustive_graphs(n):
+            if is_connected(g):
+                groups = sorted(node.group for node in relative_jsj(g).nodes)
+                assert groups == brute_atoms(g), g.edges
 
 
 # --- reduce against the edge-scanning loop it replaced -------------------
