@@ -352,11 +352,13 @@ def _component_masks(masks, allowed):
 
 def _clique_mask(masks, m):
     """True when the vertices of `m` are pairwise adjacent: each member's
-    neighbours together with itself cover `m`."""
+    neighbours cover the other members. An AND costs the narrower operand,
+    so a member with a wide mask costs only the width of `m`."""
     rest = m
     while rest:
         b = rest & -rest
-        if m & ~masks[b.bit_length() - 1] != b:
+        others = m ^ b
+        if masks[b.bit_length() - 1] & others != others:
             return False
         rest ^= b
     return True
@@ -421,83 +423,79 @@ def is_complete(g):
     return _clique_mask(g.masks, _full_mask(g))
 
 
-def _mcs_m(g):
-    """Minimal separators of a minimal triangulation of `g`, by MCS-M+.
+def _mcs_m(masks, allowed):
+    """Minimal separators of a minimal triangulation of the subgraph on
+    `allowed`, by MCS-M+.
 
     MCS-M (Berry, Blair, Heggernes and Peyton, Algorithmica 39, 2004)
     numbers the vertices from n down to 1, each time taking an unnumbered
     vertex z of largest weight. Every unnumbered u that z reaches through
     unnumbered vertices all lighter than u gains one weight and an edge to
-    z in the triangulation H, a minimal triangulation of `g`. MCS-M+
-    (Berry, Pogorelcnik and Simonet, "An introduction to clique minimal
-    separator decomposition", Algorithms 3(2), 2010) also marks z a
+    z in the triangulation H, a minimal triangulation of the subgraph.
+    MCS-M+ (Berry, Pogorelcnik and Simonet, "An introduction to clique
+    minimal separator decomposition", Algorithms 3(2), 2010) also marks z a
     generator when its weight is at most that of the vertex numbered just
     before it; the first vertex never is one. The minimal separators of H
     are the sets of H-neighbours numbered before the generators. Returns
-    those sets as bitmasks, one per generator. O(n * m) time.
+    those sets as bitmasks, one per generator, bits standing for vertex
+    indices as in `masks`.
+
+    Weights are kept only as level masks: level[w] holds the unnumbered
+    vertices of weight w. For each z one search grows over the thresholds
+    t = 0, 1, ...: `low` holds the unnumbered vertices lighter than t + 1
+    that it has not reached, `near` the neighbours of z and of what it has
+    reached. The vertices of `near & level[t]` are exactly the weight-t
+    vertices that z raises; they join the search before the next
+    threshold. Each reached vertex's mask is OR-ed in once, so one z costs
+    O(m) mask operations.
     """
-    adj = [[] for _ in g.masks]
-    for i, m in enumerate(g.masks):
-        m >>= i + 1  # each edge once, from its lower end
-        while m:
-            b = m & -m
-            j = i + b.bit_length()
-            adj[i].append(j)
-            adj[j].append(i)
-            m ^= b
-    weight = [0] * len(adj)
-    numbered = [False] * len(adj)
-    # level[w]: bitmask of the unnumbered vertices of weight w; top is the
-    # largest weight among them (0 once none is left)
-    level = [(1 << len(adj)) - 1]
-    top = 0
-    later = [0] * len(adj)
+    level = [allowed]
+    top = 0  # the largest weight among unnumbered vertices, 0 once none is left
+    later = [0] * allowed.bit_length()
     generators = []
     last = -1  # the weight of the vertex numbered before z
-    for _ in adj:
+    for _ in range(allowed.bit_count()):
         # the least index among the heaviest unnumbered vertices
-        z = (level[top] & -level[top]).bit_length() - 1
+        zbit = level[top] & -level[top]
+        z = zbit.bit_length() - 1
         if top <= last:
             generators.append(z)
         last = top
-        level[top] ^= 1 << z
-        numbered[z] = True
+        level[top] ^= zbit
         while top and not level[top]:
             top -= 1
-        # least, over the paths from z, of the weight of their heaviest
-        # inner vertex; only a value below the largest weight can qualify
-        best = {}
-        buckets = [[] for _ in range(top + 1)]
-        for u in adj[z]:
-            if not numbered[u]:
-                best[u] = -1
-                buckets[0].append(u)
-        reached = []
-        for b, bucket in enumerate(buckets):
-            cost = b - 1
-            while bucket:
-                y = bucket.pop()
-                if best[y] != cost:  # reached more cheaply since
-                    continue
-                if cost < weight[y]:
-                    reached.append(y)
-                c = max(cost, weight[y])
-                if c >= top:
-                    continue
-                for x in adj[y]:
-                    if not numbered[x] and best.get(x, top) > c:
-                        best[x] = c
-                        buckets[c + 1].append(x)
-        for y in reached:
-            w = weight[y]
-            level[w] ^= 1 << y
-            if w == top:
-                top += 1
-                if top == len(level):
-                    level.append(0)
-            level[w + 1] |= 1 << y
-            weight[y] = w + 1
-            later[y] |= 1 << z
+        near = masks[z]
+        low = 0
+        raised = []
+        for t in range(top + 1):
+            up = near & level[t]
+            raised.append(up)
+            if t == top:
+                break
+            low |= level[t] ^ up
+            frontier = up
+            while frontier:
+                grow = 0
+                while frontier:
+                    b = frontier & -frontier
+                    grow |= masks[b.bit_length() - 1]
+                    frontier ^= b
+                near |= grow
+                frontier = grow & low
+                low ^= frontier
+        if raised[top] and top + 1 == len(level):
+            level.append(0)
+        for t in range(len(raised) - 1, -1, -1):
+            up = raised[t]
+            if up:
+                level[t] ^= up
+                level[t + 1] |= up
+                while up:
+                    b = up & -up
+                    later[b.bit_length() - 1] |= zbit
+                    up ^= b
+        if raised[top]:
+            top += 1
     return [later[z] for z in generators]
 
 
@@ -510,7 +508,7 @@ def _clique_minimal_separators(g):
     needed: `_mcs_m` lists the minimal separators of its triangulation.
     """
     masks = g.masks
-    found = {s for s in _mcs_m(g) if _clique_mask(masks, s)}
+    found = {s for s in _mcs_m(masks, _full_mask(g)) if _clique_mask(masks, s)}
     return sorted(((_names(g.vertices, s), s) for s in found),
                   key=lambda p: (len(p[0]), p[0]))
 

@@ -7,16 +7,18 @@ assigns ids deterministically, so identical inputs yield identical output
 bytes.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass, replace
-from functools import cached_property
+import functools
 import heapq
+import operator
 from typing import List, Optional, Tuple
 
 from .errors import DomainError, InvariantViolationError, RaagError
 from .graphs import (SimplicialGraph, _clique_mask,
                      _clique_minimal_separators, _component_masks,
-                     _dot_escape, _full_mask, _names, _splits, _vertex_mask,
-                     hanging_vertices, induced_subgraph, is_clique,
+                     _dot_escape, _full_mask, _mcs_m, _names, _splits,
+                     _vertex_mask, hanging_vertices, is_clique,
                      is_connected, link, star)
 
 
@@ -45,7 +47,7 @@ class GraphOfGroups:
     nodes: Tuple[GogNode, ...]
     edges: Tuple[GogEdge, ...]
 
-    @cached_property
+    @functools.cached_property
     def _by_id(self):
         # the first node with an id wins; cached_property writes the
         # instance __dict__, which the frozen __setattr__ does not guard
@@ -64,15 +66,21 @@ def _build(base, groups, raw_edges):
     nodes = tuple(
         GogNode(i, tuple(sorted(grp)), is_clique(base, grp))
         for i, grp in enumerate(groups))
-    prepared = []
-    for a, b, grp, stable in raw_edges:
-        ends = (a, b) if a <= b else (b, a)
-        prepared.append((ends, tuple(sorted(grp)), stable))
-    prepared.sort(key=lambda t: (t[0], t[1], t[2] or ""))
     edges = tuple(
-        GogEdge(i, ends, grp, stable)
-        for i, (ends, grp, stable) in enumerate(prepared))
+        GogEdge(i, (a, b), grp, stable)
+        for i, (a, b, grp, stable) in enumerate(_ordered_edges(raw_edges)))
     return GraphOfGroups(base, nodes, edges)
+
+
+def _ordered_edges(raw_edges):
+    """The edges as `_build` numbers them: (a, b, group, stable letter)
+    with a <= b and the group sorted, in (ends, group, stable letter)
+    order."""
+    prepared = [(a, b, tuple(sorted(grp)), stable) if a <= b
+                else (b, a, tuple(sorted(grp)), stable)
+                for a, b, grp, stable in raw_edges]
+    prepared.sort(key=lambda t: (t[0], t[1], t[2], t[3] or ""))
+    return prepared
 
 
 def hnn_split(g: SimplicialGraph, v: str) -> GraphOfGroups:
@@ -111,13 +119,28 @@ def amalgam_split(g: SimplicialGraph, k) -> GraphOfGroups:
     return _build(g, groups, edges)
 
 
-def _attach_index(groups, bits, start, end, k, kmask):
+def _attach_index(groups, bits, holders, start, end, k, kmask):
     """Index of the attachment node among groups[start:end], a glued
     subtree: among groups containing the separator, the lexicographically
     least group wins. The amalgam edge carries the separator, so it is
-    reduced exactly when that group is more than the separator."""
+    reduced exactly when that group is more than the separator.
+
+    `holders[v]` lists, in increasing order, the indices of the groups
+    that hold vertex v. Only the groups holding the separator's vertex
+    held by the fewest can contain the separator: the scan takes the part
+    of that list inside [start, end), or the range itself when it is
+    shorter.
+    """
+    scan = range(start, end)
+    if end - start > len(k):  # else the range is as short as finding the slice
+        held = min((holders[v] for v in _names(range(len(holders)), kmask)),
+                   key=len)
+        lo = bisect_left(held, start)
+        hi = bisect_left(held, end, lo)
+        if hi - lo < end - start:
+            scan = held[lo:hi]
     best = None
-    for i in range(start, end):
+    for i in scan:
         if bits[i] & kmask == kmask:
             if best is None or groups[i] < groups[best]:
                 best = i
@@ -154,9 +177,12 @@ def _split_tree(g):
         raise DomainError("decomposition requires a connected graph; "
                           "process components separately")
     masks = g.masks
+    vs = g.vertices
     separators = _clique_minimal_separators(g)
+    inner = functools.reduce(operator.or_, (m for _, m in separators), 0)
     groups: list = []
     bits: list = []  # the bitmask of each group
+    holders: list = [[] for _ in vs]  # the groups holding each separator vertex
     edges: list = []
     used: list = []
     # a piece is (vertices, first separator to try, the group offsets of its
@@ -167,7 +193,7 @@ def _split_tree(g):
         part, first, offsets = stack.pop()
         if first is None:
             k, kmask = part
-            attach = [_attach_index(groups, bits, start, end, k, kmask)
+            attach = [_attach_index(groups, bits, holders, start, end, k, kmask)
                       for start, end in zip(offsets,
                                             offsets[1:] + [len(groups)])]
             edges.extend((a, b, k, None) for a, b in zip(attach, attach[1:]))
@@ -176,7 +202,9 @@ def _split_tree(g):
             offsets.append(len(groups))
         found = _first_split(masks, part, separators, first)
         if found is None:
-            groups.append(_names(g.vertices, part))
+            for v in _names(range(len(vs)), part & inner):
+                holders[v].append(len(groups))
+            groups.append(_names(vs, part))
             bits.append(part)
             continue
         pos, comps = found
@@ -192,17 +220,111 @@ def _split_tree(g):
 def _first_split(masks, piece, separators, first):
     """(index, components) for the first separator from `first` on that
     lies inside `piece` and disconnects it, or None; complete pieces never
-    split. One search finds the components of the piece minus the
-    separator, in order of least vertex."""
+    split. A piece is connected, so every component of the piece minus a
+    separator holds a neighbour of the separator, and
+    `_separated_components` finds them from there."""
     if _clique_mask(masks, piece):
         return None
     for pos in range(first, len(separators)):
         kmask = separators[pos][1]
         if piece | kmask == piece:
-            comps = _component_masks(masks, piece ^ kmask)
-            if len(comps) > 1:
+            comps = _separated_components(masks, piece ^ kmask, kmask)
+            if comps:
                 return pos, comps
     return None
+
+
+def _separated_components(masks, rest, kmask):
+    """The components of the subgraph on `rest`, as bitmasks in order of
+    least vertex, when there are two or more; else None. Every component
+    must hold a neighbour of `kmask`.
+
+    Lockstep searches (the smaller-half argument of Even and Shiloach, "An
+    on-line edge-deletion problem", J. ACM 28(1), 1981): one search per
+    neighbour of the separator in `rest`, each growing one level per
+    round. `owner` maps each reached vertex to the search that reached it
+    first, and a search that reaches a vertex of another takes that one
+    over (`parent` is a union-find on the searches). A search that stops
+    growing holds a whole component. Once a single search is left
+    growing, its component is the rest, by mask subtraction, so a split
+    costs about the size of its components other than the largest one.
+    """
+    seeds = 0
+    k = kmask
+    while k:
+        b = k & -k
+        seeds |= masks[b.bit_length() - 1]
+        k ^= b
+    seeds &= rest
+    left = rest ^ seeds  # the vertices no search has reached
+    owner = {}
+    seen = []  # the vertices reached by each search
+    frontier = []  # each search's last level
+    for s, v in enumerate(_names(range(rest.bit_length()), seeds)):
+        owner[v] = s
+        seen.append(1 << v)
+        frontier.append(1 << v)
+    parent = list(range(len(seen)))
+
+    def find(s):
+        root = s
+        while parent[root] != root:
+            root = parent[root]
+        while parent[s] != root:
+            parent[s], s = root, parent[s]
+        return root
+
+    comps = []
+    growing = list(parent)
+    alive = len(growing)
+    while alive > 1:
+        after = []
+        for s in growing:
+            if parent[s] != s:  # taken over by another search
+                continue
+            f = frontier[s]
+            if f & (f - 1):
+                grow = 0
+                while f:
+                    b = f & -f
+                    grow |= masks[b.bit_length() - 1]
+                    f ^= b
+            else:
+                grow = masks[f.bit_length() - 1]
+            grow &= rest
+            fresh = grow & left
+            if fresh:
+                left ^= fresh
+                seen[s] |= fresh
+                f = fresh
+                while f:
+                    b = f & -f
+                    owner[b.bit_length() - 1] = s
+                    f ^= b
+            met = grow ^ fresh  # reached before, by s or by another search
+            met ^= met & seen[s]
+            while met:  # every vertex of met belongs to another search
+                t = find(owner[(met & -met).bit_length() - 1])
+                parent[t] = s
+                seen[s] |= seen[t]
+                fresh |= frontier[t]
+                met ^= met & seen[t]
+                alive -= 1
+            frontier[s] = fresh
+            if fresh:
+                after.append(s)
+            else:
+                comps.append(seen[s])
+                alive -= 1
+            if alive <= 1:
+                break
+        growing = after
+    if alive:
+        comps.append(rest ^ functools.reduce(operator.or_, comps, 0))
+    if len(comps) < 2:
+        return None
+    comps.sort(key=lambda c: c & -c)
+    return comps
 
 
 def relative_jsj(g: SimplicialGraph) -> GraphOfGroups:
@@ -227,19 +349,24 @@ def abelian_jsj(g: SimplicialGraph) -> GraphOfGroups:
     decompose trivially.
     """
     groups, edges, _ = _split_tree(g)
-    return _abelian_gog(g, groups, edges)
-
-
-def _abelian_gog(g, groups, edges):
     # one group of two or more vertices holds no hanging vertex, and a
     # complete graph is spared the scan for them
     if len(groups) == 1 and len(g.vertices) > 1:
+        return _build(g, groups, edges)
+    return _abelian_gog(g, groups, edges, hanging_vertices(g))
+
+
+def _abelian_gog(g, groups, edges, hanging):
+    """The relative decomposition's groups and edges with each vertex of
+    `hanging` turned into a loop, contracted as `reduce` does and built
+    once."""
+    if not hanging:  # the relative decomposition is reduced already
         return _build(g, groups, edges)
     groups, edges = list(groups), list(edges)  # jsj_report shares them
     nodes_of = {}
     for i, grp in enumerate(groups):
         nodes_of.setdefault(grp, []).append(i)
-    for v in hanging_vertices(g):
+    for v in hanging:
         sv = star(g, v)
         hits = nodes_of.pop(sv, [])
         if len(hits) != 1:
@@ -250,13 +377,25 @@ def _abelian_gog(g, groups, edges):
         groups[i] = link(g, (v,))
         nodes_of.setdefault(groups[i], []).append(i)
         edges.append((i, i, groups[i], v))
-    return reduce(_build(g, groups, edges))
+    return _build(g, *_contract(dict(enumerate(groups)),
+                                dict(enumerate(_ordered_edges(edges)))))
 
 
 def reduce(gog: GraphOfGroups) -> GraphOfGroups:
     """Contract non-loop edges whose group equals an endpoint group, lowest
     edge id first, until none remain; incident edges and loops are re-homed
-    onto the surviving endpoint.
+    onto the surviving endpoint (see `_contract`)."""
+    return _build(gog.base, *_contract(
+        {n.id: n.group for n in gog.nodes},
+        {e.id: (e.ends[0], e.ends[1], e.group, e.stable_letter)
+         for e in gog.edges}))
+
+
+def _contract(groups, edges):
+    """`reduce` on plain data: `groups` maps node ids to groups, `edges`
+    maps edge ids to (a, b, group, stable letter). Returns the surviving
+    groups in id order and the surviving edges in id order, their ends
+    renumbered to match, for `_build`.
 
     Node groups never change, so an edge can become contractible only when
     one of its endpoints is contracted away. A heap holds the contractible
@@ -265,9 +404,6 @@ def reduce(gog: GraphOfGroups) -> GraphOfGroups:
     it removes. An edge keeps its original ends; `home` follows a removed
     node to the node that absorbed it.
     """
-    groups = {n.id: n.group for n in gog.nodes}
-    edges = {e.id: (e.ends[0], e.ends[1], e.group, e.stable_letter)
-             for e in gog.edges}
     absorbed = {}  # removed node -> the node it was contracted into
 
     def home(x):
@@ -290,7 +426,7 @@ def reduce(gog: GraphOfGroups) -> GraphOfGroups:
             return b, a
         return None
 
-    incident = {n.id: [] for n in gog.nodes}
+    incident = {n: [] for n in groups}
     for eid, (a, b, _, _) in edges.items():
         if a != b:
             incident[a].append(eid)
@@ -317,7 +453,7 @@ def reduce(gog: GraphOfGroups) -> GraphOfGroups:
     out_groups = [groups[old] for old in sorted(groups)]
     out_edges = [(order[home(a)], order[home(b)], grp, st)
                  for _, (a, b, grp, st) in sorted(edges.items())]
-    return _build(gog.base, out_groups, out_edges)
+    return out_groups, out_edges
 
 
 @dataclass(frozen=True)
@@ -390,18 +526,19 @@ def validate(gog: GraphOfGroups, abelian: bool = False) -> List[CheckResult]:
         return ""
 
     def node_groups():
+        masks = base.masks
         for n in gog.nodes:
-            if is_clique(base, n.group):
+            m = _vertex_mask(base, n.group)
+            if _clique_mask(masks, m):
                 continue
-            sub = induced_subgraph(base, n.group)
-            if not is_connected(sub):
+            if _splits(masks, m):
                 return "node %d group induces a disconnected subgraph" % n.id
-            if _clique_minimal_separators(sub):
+            if any(_clique_mask(masks, s) for s in _mcs_m(masks, m)):
                 return "node %d group is neither abelian nor separator-free" % n.id
         return ""
 
     def edge_groups():
-        if len(base.vertices) == 1:
+        if len(base.vertices) == 1 or not gog.edges or _certified(gog):
             return ""
         for e in gog.edges:
             if not is_clique(base, e.group):
@@ -455,6 +592,105 @@ def validate(gog: GraphOfGroups, abelian: bool = False) -> List[CheckResult]:
     return results
 
 
+def _certified(gog):
+    """True when every edge group is shown to be a clique separator of the
+    base at once, by a tree decomposition; False when any condition below
+    fails, also when a group or stable letter names a vertex outside the
+    base. Never raises on such names: `validate` then searches each edge.
+
+    The bags are the node groups and, for each loop, its group plus its
+    stable letter, hung off the loop's node. The conditions:
+    - every edge group is a clique;
+    - the bags, joined along the edges, form a tree in which adjacent bags
+      meet exactly in the edge group;
+    - rooted at the first node, each bag's vertices outside its parent
+      edge's group, its `new` vertices, are disjoint from every other
+      bag's and together cover the base. A vertex's bags then form a
+      subtree, with its one `new` bag on top;
+    - each base edge lies inside a bag. With subtrees, an edge lies inside
+      a bag exactly when it lies inside the top bag of one of its ends, so
+      the count, over bags, of the base edges inside the bag with an end
+      new there counts each such edge once and must equal the base's;
+    - both sides of every tree edge keep a vertex outside its group: the
+      vertices new below it, and all but those and the group.
+    Then each edge group separates the vertices new below its edge from
+    the others outside it (Tarjan, "Decomposition by clique separators",
+    Discrete Math. 55, 1985; Leimer, "Optimal decomposition by clique
+    separators", Discrete Math. 113, 1993). Linear in the total bag size,
+    in mask operations.
+    """
+    base = gog.base
+    masks = base.masks
+    index = base._index
+
+    def mask(names):
+        m = 0
+        for v in names:
+            i = index.get(v)
+            if i is None:
+                return None
+            m |= 1 << i
+        return m
+
+    at = {n.id: i for i, n in enumerate(gog.nodes)}
+    bags = [mask(n.group) for n in gog.nodes]
+    if len(at) != len(bags) or None in bags:
+        return False
+    links = [[] for _ in bags]  # per bag: (neighbour bag, edge group)
+    for e in gog.edges:
+        a, b = at.get(e.ends[0]), at.get(e.ends[1])
+        group = mask(e.group)
+        if a is None or b is None or group is None \
+                or not _clique_mask(masks, group):
+            return False
+        if a == b:
+            letter = index.get(e.stable_letter)
+            if letter is None:
+                return False
+            b = len(bags)
+            bags.append(group | 1 << letter)
+            links.append([])
+        links[a].append((b, group))
+        links[b].append((a, group))
+    if len(gog.edges) != len(bags) - 1:
+        return False
+    up = [None] * len(bags)  # per bag: (parent bag, edge group)
+    up[0] = (None, 0)
+    order = [0]
+    for x in order:
+        for y, group in links[x]:
+            if up[y] is None:
+                up[y] = (x, group)
+                order.append(y)
+    if len(order) != len(bags):
+        return False
+    n = len(base.vertices)
+    covered = 0
+    inside = 0  # twice the base edges counted at their bags
+    below = [0] * len(bags)  # the count of new vertices, then of a subtree's
+    for x in order:
+        p, group = up[x]
+        bag = bags[x]
+        if p is not None and bags[p] & bag != group:
+            return False
+        new = bag ^ group
+        if covered & new:
+            return False
+        covered |= new
+        below[x] = new.bit_count()
+        for v in _names(range(n), new):
+            inside += 2 * (masks[v] & bag).bit_count() \
+                - (masks[v] & new).bit_count()
+    if covered != _full_mask(base) or inside != 2 * len(base.edges):
+        return False
+    for x in reversed(order[1:]):
+        p, group = up[x]
+        if not below[x] or below[x] + group.bit_count() >= n:
+            return False
+        below[p] += below[x]
+    return True
+
+
 def gog_to_json_obj(gog: GraphOfGroups) -> dict:
     return {
         "nodes": [
@@ -499,8 +735,9 @@ def jsj_report(g: SimplicialGraph) -> JsjReport:
     fails, so a returned report is always internally consistent."""
     groups, edges, used = _split_tree(g)
     separators = tuple(dict.fromkeys(used))
+    hanging = hanging_vertices(g)
     rel = _build(g, groups, edges)
-    abe = _abelian_gog(g, groups, edges)
+    abe = _abelian_gog(g, groups, edges, hanging)
     checks = tuple(
         [replace(c, name="relative:" + c.name) for c in validate(rel)]
         + [replace(c, name="abelian:" + c.name) for c in validate(abe, abelian=True)])
@@ -508,4 +745,4 @@ def jsj_report(g: SimplicialGraph) -> JsjReport:
     if bad:
         raise InvariantViolationError(
             "validation failed: " + "; ".join("%s (%s)" % (c.name, c.detail) for c in bad))
-    return JsjReport(g, rel, abe, hanging_vertices(g), separators, checks)
+    return JsjReport(g, rel, abe, hanging, separators, checks)

@@ -241,10 +241,16 @@ class TestNodeLookup:
 
 class TestAttachIndex:
     # p4's vertices as bits: a 1, b 2, c 4, d 8; the separator is {b}
+    @staticmethod
+    def attach(groups, bits, start, end):
+        holders = [[i for i, m in enumerate(bits) if m >> v & 1]
+                   for v in range(4)]
+        return _attach_index(groups, bits, holders, start, end, ("b",), 2)
+
     def test_least_group_containing_the_separator_wins(self):
         # {b} itself is no attach point, but only the least group counts
         groups = [("b", "c"), ("a", "b"), ("b",)]
-        assert _attach_index(groups, [6, 3, 2], 0, 3, ("b",), 2) == 1
+        assert self.attach(groups, [6, 3, 2], 0, 3) == 1
 
     def test_non_reduced_attach_point_is_refused(self):
         # the edge to {b} would carry its whole group: not reduced; the
@@ -254,7 +260,7 @@ class TestAttachIndex:
             with pytest.raises(InvariantViolationError, match=(
                     r"no subtree node group properly contains the "
                     r"separator \['b'\]")):
-                _attach_index(groups, bits, start, 2, ("b",), 2)
+                self.attach(groups, bits, start, 2)
 
 
 class TestSerialization:

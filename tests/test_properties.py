@@ -1,4 +1,5 @@
-from collections import deque
+from collections import Counter, deque
+from dataclasses import replace
 import random
 import re
 
@@ -6,18 +7,21 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 from raagdecomp import (BudgetExceededError, CentralizerDescriptor,
-                        CentralizerFactor, DomainError, SimplicialGraph,
-                        Word, bfs_equal, brute_atoms, centralizer_descriptor,
-                        connected_components, cyclically_reduce, equal,
-                        exhaustive_graphs, graph_to_dot, induced_subgraph,
-                        is_clique, is_connected, join_factors, link,
-                        normal_form, parse_graph, parse_word, power,
-                        primitive_root, reduce, relative_jsj, star, support,
-                        word_text)
-from raagdecomp import kernels, words, _pykernel
+                        CentralizerFactor, DomainError, GraphOfGroups,
+                        SimplicialGraph, Word, abelian_jsj, amalgam_split,
+                        bfs_equal, brute_atoms, centralizer_descriptor,
+                        clique_separators, connected_components,
+                        cyclically_reduce, equal, exhaustive_graphs,
+                        graph_to_dot, hnn_split, induced_subgraph, is_clique,
+                        is_connected, join_factors, link, normal_form,
+                        parse_graph, parse_word, power, primitive_root,
+                        reduce, relative_jsj, star, star_amalgam_split,
+                        support, validate, word_text)
+from raagdecomp import jsj, kernels, words, _pykernel
 from raagdecomp.graphs import (_clique_minimal_separators, _component_masks,
-                               _join_masks, _names, _splits, _vertex_mask)
-from raagdecomp.jsj import _build
+                               _full_mask, _join_masks, _mcs_m, _names,
+                               _splits, _vertex_mask)
+from raagdecomp.jsj import _build, _separated_components
 from raagdecomp.words import _encode
 
 from conftest import random_connected_graph
@@ -348,6 +352,31 @@ def test_masks_are_the_edges(case):
         sub, [e for e in g.edges if set(e) <= set(sub)])
 
 
+@given(wide_graphs())
+@settings(deadline=None)
+def test_mcs_m_on_a_vertex_subset_is_mcs_m_of_its_subgraph(case):
+    # validate runs MCS-M+ on a node group's mask, not on its subgraph
+    g, _, sub = case
+    h = induced_subgraph(g, sub)
+    assert [_names(g.vertices, s) for s in _mcs_m(g.masks, _vertex_mask(g, sub))] \
+        == [_names(h.vertices, s) for s in _mcs_m(h.masks, _full_mask(h))]
+
+
+@given(wide_graphs())
+@settings(deadline=None)
+def test_lockstep_components_match_whole_searches(case):
+    # the components of a piece minus a separator, each touching it
+    g, clique, sub = case
+    kmask = _vertex_mask(g, clique)
+    rest = 0
+    for c in _component_masks(g.masks, _vertex_mask(g, sub) & ~kmask):
+        if any(g.masks[i] & c for i in _names(range(len(g.vertices)), kmask)):
+            rest |= c
+    comps = _component_masks(g.masks, rest)
+    assert _separated_components(g.masks, rest, kmask) == \
+        (comps if len(comps) > 1 else None)
+
+
 # --- the clique minimal separators against their definition -------------
 
 
@@ -468,6 +497,98 @@ def graphs_of_groups(draw):
 @given(graphs_of_groups())
 def test_reduce_matches_scanning_loop(gog):
     assert reduce(gog) == _scanning_reduce(gog)
+
+
+# --- the edge-group certificate against the per-edge searches -----------
+
+
+def _per_edge_groups(gog):
+    """validate's edge_groups check without the certificate: one
+    disconnection search per edge, the first failing edge reported."""
+    base = gog.base
+    if len(base.vertices) == 1:
+        return ""
+    for e in gog.edges:
+        if not is_clique(base, e.group):
+            return "edge %d group is not a clique" % e.id
+        left = _full_mask(base) & ~_vertex_mask(base, e.group)
+        if not _splits(base.masks, left):
+            return "edge %d group does not disconnect the graph" % e.id
+    return ""
+
+
+def _edge_groups_outcome(gog):
+    try:
+        detail = _per_edge_groups(gog)
+    except DomainError as exc:
+        detail = "check raised: %s" % exc
+    return detail == "", detail
+
+
+def _decompositions(g):
+    yield relative_jsj(g)
+    yield abelian_jsj(g)
+    for v in g.vertices:
+        yield hnn_split(g, v)
+        if len(g.vertices) > 1:
+            yield star_amalgam_split(g, v)
+    for k in clique_separators(g):
+        yield amalgam_split(g, k)
+
+
+def _damaged(gog, rng):
+    """A copy with a vertex toggled in a node group or an edge group, or
+    an edge end moved to another node."""
+    nodes, edges = list(gog.nodes), list(gog.edges)
+    vs = gog.base.vertices
+    kind = rng.randrange(3) if edges else 0
+    if kind == 0:
+        i = rng.randrange(len(nodes))
+        nodes[i] = replace(nodes[i], group=tuple(sorted(
+            set(nodes[i].group) ^ {rng.choice(vs)})))
+    elif kind == 1:
+        j = rng.randrange(len(edges))
+        edges[j] = replace(edges[j], group=tuple(sorted(
+            set(edges[j].group) ^ {rng.choice(vs)})))
+    else:
+        j = rng.randrange(len(edges))
+        ends = list(edges[j].ends)
+        ends[rng.randrange(2)] = rng.choice(nodes).id
+        edges[j] = replace(edges[j], ends=tuple(ends))
+    return GraphOfGroups(gog.base, tuple(nodes), tuple(edges))
+
+
+def test_edge_group_certificate_matches_per_edge_searches(monkeypatch):
+    certified = Counter()
+    real = jsj._certified
+
+    def counted(gog):
+        ok = real(gog)
+        certified[ok] += 1
+        return ok
+
+    monkeypatch.setattr(jsj, "_certified", counted)
+    rng = random.Random(0xCE27)
+    for n in range(1, 6):
+        for g in exhaustive_graphs(n):
+            if not is_connected(g):
+                continue
+            for gog in _decompositions(g):
+                outside = GraphOfGroups(gog.base, (replace(
+                    gog.nodes[0], group=gog.nodes[0].group + ("zz",)),)
+                    + gog.nodes[1:], gog.edges)
+                for case in (gog, _damaged(gog, rng), _damaged(gog, rng),
+                             outside):
+                    check = [c for c in validate(case)
+                             if c.name == "edge_groups"]
+                    assert [(c.passed, c.detail) for c in check] == \
+                        [_edge_groups_outcome(case)]
+                # a name outside the base is no certificate, and no failure
+                assert not real(outside)
+                assert _edge_groups_outcome(outside) == \
+                    _edge_groups_outcome(gog)
+    # both the certificate and the per-edge searches decided some cases
+    assert certified[True] > 1000 and certified[False] > 1000
 
 
 # --- the closure kernels against the per-state move lists they replaced --
