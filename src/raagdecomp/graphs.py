@@ -445,9 +445,10 @@ def _mcs_m(masks, allowed):
     t = 0, 1, ...: `low` holds the unnumbered vertices lighter than t + 1
     that it has not reached, `near` the neighbours of z and of what it has
     reached. The vertices of `near & level[t]` are exactly the weight-t
-    vertices that z raises; they join the search before the next
-    threshold. Each reached vertex's mask is OR-ed in once, so one z costs
-    O(m) mask operations.
+    vertices that z raises, and they join the search before the next
+    threshold. After the last threshold every raised vertex moves up one
+    level. Numbering z costs a few mask operations per threshold and per
+    reached vertex, whose mask is OR-ed in once.
     """
     level = [allowed]
     top = 0  # the largest weight among unnumbered vertices, 0 once none is left

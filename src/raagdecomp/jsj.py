@@ -119,28 +119,21 @@ def amalgam_split(g: SimplicialGraph, k) -> GraphOfGroups:
     return _build(g, groups, edges)
 
 
-def _attach_index(groups, bits, holders, start, end, k, kmask):
+def _attach_index(groups, bits, held, start, end, k, kmask):
     """Index of the attachment node among groups[start:end], a glued
     subtree: among groups containing the separator, the lexicographically
     least group wins. The amalgam edge carries the separator, so it is
     reduced exactly when that group is more than the separator.
 
-    `holders[v]` lists, in increasing order, the indices of the groups
-    that hold vertex v. Only the groups holding the separator's vertex
-    held by the fewest can contain the separator: the scan takes the part
-    of that list inside [start, end), or the range itself when it is
-    shorter.
+    `held` lists, in increasing order, the indices of the groups that hold
+    one vertex of the separator; only they can contain it. The scan takes
+    the part of `held` inside [start, end), or the range itself when that
+    is shorter.
     """
-    scan = range(start, end)
-    if end - start > len(k):  # else the range is as short as finding the slice
-        held = min((holders[v] for v in _names(range(len(holders)), kmask)),
-                   key=len)
-        lo = bisect_left(held, start)
-        hi = bisect_left(held, end, lo)
-        if hi - lo < end - start:
-            scan = held[lo:hi]
+    lo = bisect_left(held, start)
+    hi = bisect_left(held, end, lo)
     best = None
-    for i in scan:
+    for i in held[lo:hi] if hi - lo < end - start else range(start, end):
         if bits[i] & kmask == kmask:
             if best is None or groups[i] < groups[best]:
                 best = i
@@ -179,10 +172,9 @@ def _split_tree(g):
     masks = g.masks
     vs = g.vertices
     separators = _clique_minimal_separators(g)
-    inner = functools.reduce(operator.or_, (m for _, m in separators), 0)
     groups: list = []
     bits: list = []  # the bitmask of each group
-    holders: list = [[] for _ in vs]  # the groups holding each separator vertex
+    holders: list = [[] for _ in vs]  # the groups holding each vertex
     edges: list = []
     used: list = []
     # a piece is (vertices, first separator to try, the group offsets of its
@@ -193,7 +185,10 @@ def _split_tree(g):
         part, first, offsets = stack.pop()
         if first is None:
             k, kmask = part
-            attach = [_attach_index(groups, bits, holders, start, end, k, kmask)
+            # the separator's vertex held by the fewest groups
+            held = min((holders[v] for v in _names(range(len(vs)), kmask)),
+                       key=len)
+            attach = [_attach_index(groups, bits, held, start, end, k, kmask)
                       for start, end in zip(offsets,
                                             offsets[1:] + [len(groups)])]
             edges.extend((a, b, k, None) for a, b in zip(attach, attach[1:]))
@@ -202,9 +197,10 @@ def _split_tree(g):
             offsets.append(len(groups))
         found = _first_split(masks, part, separators, first)
         if found is None:
-            for v in _names(range(len(vs)), part & inner):
+            members = _names(range(len(vs)), part)
+            for v in members:
                 holders[v].append(len(groups))
-            groups.append(_names(vs, part))
+            groups.append(tuple([vs[v] for v in members]))
             bits.append(part)
             continue
         pos, comps = found
@@ -248,6 +244,8 @@ def _separated_components(masks, rest, kmask):
     growing holds a whole component. Once a single search is left
     growing, its component is the rest, by mask subtraction, so a split
     costs about the size of its components other than the largest one.
+    Each reached vertex's mask is OR-ed in once, when it is reached, into
+    its search's next level (`pending`).
     """
     seeds = 0
     k = kmask
@@ -256,14 +254,19 @@ def _separated_components(masks, rest, kmask):
         seeds |= masks[b.bit_length() - 1]
         k ^= b
     seeds &= rest
+    if not seeds & (seeds - 1):
+        return None
     left = rest ^ seeds  # the vertices no search has reached
     owner = {}
     seen = []  # the vertices reached by each search
-    frontier = []  # each search's last level
-    for s, v in enumerate(_names(range(rest.bit_length()), seeds)):
-        owner[v] = s
-        seen.append(1 << v)
-        frontier.append(1 << v)
+    pending = []  # the neighbours of each search's last level
+    while seeds:
+        b = seeds & -seeds
+        v = b.bit_length() - 1
+        owner[v] = len(seen)
+        seen.append(b)
+        pending.append(masks[v])
+        seeds ^= b
     parent = list(range(len(seen)))
 
     def find(s):
@@ -282,36 +285,29 @@ def _separated_components(masks, rest, kmask):
         for s in growing:
             if parent[s] != s:  # taken over by another search
                 continue
-            f = frontier[s]
-            if f & (f - 1):
-                grow = 0
-                while f:
-                    b = f & -f
-                    grow |= masks[b.bit_length() - 1]
-                    f ^= b
-            else:
-                grow = masks[f.bit_length() - 1]
-            grow &= rest
+            grow = pending[s] & rest
             fresh = grow & left
+            met = grow ^ fresh  # reached before, by s or by another search
+            met ^= met & seen[s]
+            nxt = 0
             if fresh:
                 left ^= fresh
                 seen[s] |= fresh
-                f = fresh
-                while f:
-                    b = f & -f
-                    owner[b.bit_length() - 1] = s
-                    f ^= b
-            met = grow ^ fresh  # reached before, by s or by another search
-            met ^= met & seen[s]
+                while fresh:
+                    b = fresh & -fresh
+                    v = b.bit_length() - 1
+                    owner[v] = s
+                    nxt |= masks[v]
+                    fresh ^= b
             while met:  # every vertex of met belongs to another search
                 t = find(owner[(met & -met).bit_length() - 1])
                 parent[t] = s
                 seen[s] |= seen[t]
-                fresh |= frontier[t]
+                nxt |= pending[t]
                 met ^= met & seen[t]
                 alive -= 1
-            frontier[s] = fresh
-            if fresh:
+            pending[s] = nxt
+            if nxt:
                 after.append(s)
             else:
                 comps.append(seen[s])

@@ -243,9 +243,8 @@ class TestAttachIndex:
     # p4's vertices as bits: a 1, b 2, c 4, d 8; the separator is {b}
     @staticmethod
     def attach(groups, bits, start, end):
-        holders = [[i for i, m in enumerate(bits) if m >> v & 1]
-                   for v in range(4)]
-        return _attach_index(groups, bits, holders, start, end, ("b",), 2)
+        held = [i for i, m in enumerate(bits) if m & 2]  # the groups with b
+        return _attach_index(groups, bits, held, start, end, ("b",), 2)
 
     def test_least_group_containing_the_separator_wins(self):
         # {b} itself is no attach point, but only the least group counts

@@ -27,7 +27,11 @@ with a search of the whole graph, or each against every other for
 inclusion, is quadratic in its length. The relative decomposition of a
 star has one edge per leaf; finding each edge's ends by scanning the
 nodes, once to build it and again to validate it, is quadratic in the
-number of leaves.
+number of leaves. Every split of a long path leaves one component that is
+nearly the whole piece, and the least group holding the separator sits in
+a subtree of nearly every group: walking that component, or scanning those
+groups, per split is quadratic in its length. So is validating a tree's
+edge groups with one search of the whole graph per edge.
 """
 
 import random
@@ -56,6 +60,14 @@ def sparse_graph(n, seed):
         i, j = sorted(rng.sample(range(n), 2))
         edges.add((names[i], names[j]))
     return SimplicialGraph(names, sorted(edges))
+
+
+def tree_graph(n, seed):
+    """Random tree: each vertex after the first hangs off an earlier one."""
+    rng = random.Random(seed)
+    names = ["v%04d" % i for i in range(n)]
+    return SimplicialGraph(names, [(names[rng.randrange(i)], names[i])
+                                   for i in range(1, n)])
 
 
 def _within(label, t0, limit):
@@ -143,6 +155,33 @@ def test_big_star_report():
     assert len(report.relative.nodes) == 20_000
     assert [e.group for e in report.relative.edges] == [("hub",)] * 19_999
     assert [n.group for n in report.abelian.nodes] == [("hub",)]
+    assert all(c.passed for c in report.validation)
+
+
+def test_long_path_report():
+    # 191 s before lockstep splits, indexed attach points and certified
+    # edge groups
+    g = path_graph(10_000)
+    t0 = time.perf_counter()
+    report = jsj_report(g)
+    _within("jsj_report of a 10,000-vertex path", t0, 10)
+    assert len(report.relative.nodes) == 9_999
+    assert report.hanging == ("v0000", "v9999")
+    assert len(report.abelian.nodes) == 9_997
+    assert all(c.passed for c in report.validation)
+
+
+def test_big_tree_report():
+    # 42-48 s before, nearly all of it validating the edge groups
+    g = tree_graph(5_000, 0x7EE)
+    leaves = tuple(v for v in g.vertices if len(g.neighbors(v)) == 1)
+    t0 = time.perf_counter()
+    report = jsj_report(g)
+    _within("jsj_report of a 5,000-vertex random tree", t0, 10)
+    assert len(report.relative.nodes) == 4_999
+    assert report.hanging == leaves
+    assert sorted(e.stable_letter for e in report.abelian.edges
+                  if e.is_loop) == list(leaves)
     assert all(c.passed for c in report.validation)
 
 
