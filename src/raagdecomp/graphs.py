@@ -451,7 +451,7 @@ def _mcs_m(masks, allowed):
     reached vertex, whose mask is OR-ed in once.
     """
     level = [allowed]
-    top = 0  # the largest weight among unnumbered vertices, 0 once none is left
+    top = 0  # the largest weight of an unnumbered vertex; 0 once none is left
     later = [0] * allowed.bit_length()
     generators = []
     last = -1  # the weight of the vertex numbered before z

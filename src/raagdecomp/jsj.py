@@ -235,17 +235,15 @@ def _separated_components(masks, rest, kmask):
     least vertex, when there are two or more; else None. Every component
     must hold a neighbour of `kmask`.
 
-    Lockstep searches (the smaller-half argument of Even and Shiloach, "An
-    on-line edge-deletion problem", J. ACM 28(1), 1981): one search per
-    neighbour of the separator in `rest`, each growing one level per
-    round. `owner` maps each reached vertex to the search that reached it
-    first, and a search that reaches a vertex of another takes that one
-    over (`parent` is a union-find on the searches). A search that stops
-    growing holds a whole component. Once a single search is left
-    growing, its component is the rest, by mask subtraction, so a split
-    costs about the size of its components other than the largest one.
-    Each reached vertex's mask is OR-ed in once, when it is reached, into
-    its search's next level (`pending`).
+    Lockstep searches (Even and Shiloach, "An on-line edge-deletion
+    problem", J. ACM 28(1), 1981): one per neighbour of the separator,
+    each growing one level per round. A search that reaches a vertex of
+    another takes it over (`owner` maps reached vertices to searches,
+    `parent` is a union-find on them). A search that stops growing holds a
+    component; once one is left growing, its component is the rest, by
+    mask subtraction. So a split costs about the size of all but its
+    largest component. `pending` ORs each vertex's mask in once, when it
+    is reached.
     """
     seeds = 0
     k = kmask
@@ -589,66 +587,46 @@ def validate(gog: GraphOfGroups, abelian: bool = False) -> List[CheckResult]:
 
 
 def _certified(gog):
-    """True when every edge group is shown to be a clique separator of the
-    base at once, by a tree decomposition; False when any condition below
-    fails, also when a group or stable letter names a vertex outside the
-    base. Never raises on such names: `validate` then searches each edge.
+    """True when a tree decomposition shows at once that every edge group
+    is a clique separator of the base; False, never an error, when it does
+    not, also when a group or stable letter names no vertex of the base.
 
-    The bags are the node groups and, for each loop, its group plus its
-    stable letter, hung off the loop's node. The conditions:
-    - every edge group is a clique;
-    - the bags, joined along the edges, form a tree in which adjacent bags
-      meet exactly in the edge group;
-    - rooted at the first node, each bag's vertices outside its parent
-      edge's group, its `new` vertices, are disjoint from every other
-      bag's and together cover the base. A vertex's bags then form a
-      subtree, with its one `new` bag on top;
-    - each base edge lies inside a bag. With subtrees, an edge lies inside
-      a bag exactly when it lies inside the top bag of one of its ends, so
-      the count, over bags, of the base edges inside the bag with an end
-      new there counts each such edge once and must equal the base's;
-    - both sides of every tree edge keep a vertex outside its group: the
-      vertices new below it, and all but those and the group.
-    Then each edge group separates the vertices new below its edge from
-    the others outside it (Tarjan, "Decomposition by clique separators",
-    Discrete Math. 55, 1985; Leimer, "Optimal decomposition by clique
-    separators", Discrete Math. 113, 1993). Linear in the total bag size,
-    in mask operations.
+    The bags are the node groups and, per loop, its group plus its stable
+    letter, hung off the loop's node. Every edge group must be a clique,
+    and the bags, joined along the edges, a tree in which adjacent bags
+    meet exactly in the edge group. Rooted at the first node, a bag's
+    `new` vertices are those outside its parent edge's group: they must be
+    disjoint across bags and cover the base, so that each vertex's bags
+    form a subtree topped by its one `new` bag. Then a base edge lies
+    inside some bag exactly when it lies inside the top bag of one of its
+    ends, so counting, per bag, the base edges inside it with an end new
+    there must give every base edge. Last, both sides of each tree edge
+    must keep a vertex outside its group: those new below it, and the rest
+    but the group. Each edge group then separates the two (Tarjan,
+    "Decomposition by clique separators", Discrete Math. 55, 1985; Leimer,
+    "Optimal decomposition by clique separators", Discrete Math. 113,
+    1993). Linear in the total bag size, in mask operations.
     """
     base = gog.base
     masks = base.masks
-    index = base._index
-
-    def mask(names):
-        m = 0
-        for v in names:
-            i = index.get(v)
-            if i is None:
-                return None
-            m |= 1 << i
-        return m
-
-    at = {n.id: i for i, n in enumerate(gog.nodes)}
-    bags = [mask(n.group) for n in gog.nodes]
-    if len(at) != len(bags) or None in bags:
-        return False
-    links = [[] for _ in bags]  # per bag: (neighbour bag, edge group)
-    for e in gog.edges:
-        a, b = at.get(e.ends[0]), at.get(e.ends[1])
-        group = mask(e.group)
-        if a is None or b is None or group is None \
-                or not _clique_mask(masks, group):
-            return False
-        if a == b:
-            letter = index.get(e.stable_letter)
-            if letter is None:
+    try:
+        at = {n.id: i for i, n in enumerate(gog.nodes)}
+        bags = [_vertex_mask(base, n.group) for n in gog.nodes]
+        links = [[] for _ in bags]  # per bag: (neighbour bag, edge group)
+        for e in gog.edges:
+            a, b = at[e.ends[0]], at[e.ends[1]]
+            group = _vertex_mask(base, e.group)
+            if not _clique_mask(masks, group):
                 return False
-            b = len(bags)
-            bags.append(group | 1 << letter)
-            links.append([])
-        links[a].append((b, group))
-        links[b].append((a, group))
-    if len(gog.edges) != len(bags) - 1:
+            if a == b:
+                b = len(bags)
+                bags.append(group | 1 << base.index(e.stable_letter))
+                links.append([])
+            links[a].append((b, group))
+            links[b].append((a, group))
+    except (DomainError, KeyError, TypeError, IndexError):
+        return False  # names outside the base, undefined ends, odd types
+    if len(at) != len(gog.nodes) or len(gog.edges) != len(bags) - 1:
         return False
     up = [None] * len(bags)  # per bag: (parent bag, edge group)
     up[0] = (None, 0)

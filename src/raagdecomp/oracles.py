@@ -2,7 +2,8 @@
 
 Everything here enumerates: subsets for separators and atoms,
 breadth-first move closures for word equality, whole words for centralizer
-balls. None of it shares logic with the production code paths; that independence is the point.
+balls. None of it shares logic with the production code paths; that
+independence is the point.
 All enumeration is guarded by an `OracleBudget`, and hitting a cap raises
 `BudgetExceededError` naming the offending dimension.
 """
@@ -106,8 +107,10 @@ def brute_atoms(g: SimplicialGraph, budget: Optional[OracleBudget] = None):
             s = set(comb)
             if any(s <= a for a in atoms) or _component_count(adj, s) != 1:
                 continue
-            if not any(_is_clique(adj, c) and _component_count(adj, s - set(c)) > 1
-                       for k in range(1, size - 1) for c in combinations(comb, k)):
+            if not any(_is_clique(adj, c)
+                       and _component_count(adj, s - set(c)) > 1
+                       for k in range(1, size - 1)
+                       for c in combinations(comb, k)):
                 atoms.append(s)
     return sorted(tuple(sorted(a)) for a in atoms)
 

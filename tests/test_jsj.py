@@ -194,6 +194,17 @@ class TestValidate:
                      [(0, 1, ("a", "b"), None)])
         assert "edge_groups" in all_passed(validate(gog))
 
+    def test_edge_groups_do_not_read_node_groups(self, p4):
+        # node groups naming a vertex outside the graph, or a name that is
+        # no string, fail other checks; the edge groups still separate
+        gog = relative_jsj(p4)
+        for odd in (("a", "b", "zz"), ("a", ["b"])):
+            bent = GraphOfGroups(
+                p4, (replace(gog.nodes[0], group=odd),) + gog.nodes[1:],
+                gog.edges)
+            failed = all_passed(validate(bent))
+            assert "embedding" in failed and "edge_groups" not in failed
+
     def test_detects_non_reduced_edge(self, p4):
         gog = _build(p4, [("a", "b"), ("a", "b", "c", "d")],
                      [(0, 1, ("a", "b"), None)])

@@ -358,8 +358,9 @@ def test_mcs_m_on_a_vertex_subset_is_mcs_m_of_its_subgraph(case):
     # validate runs MCS-M+ on a node group's mask, not on its subgraph
     g, _, sub = case
     h = induced_subgraph(g, sub)
-    assert [_names(g.vertices, s) for s in _mcs_m(g.masks, _vertex_mask(g, sub))] \
-        == [_names(h.vertices, s) for s in _mcs_m(h.masks, _full_mask(h))]
+    on_mask = _mcs_m(g.masks, _vertex_mask(g, sub))
+    assert [_names(g.vertices, s) for s in on_mask] == \
+        [_names(h.vertices, s) for s in _mcs_m(h.masks, _full_mask(h))]
 
 
 @given(wide_graphs())
