@@ -477,10 +477,10 @@ def _mcs_m(masks, allowed):
             frontier = up
             while frontier:
                 grow = 0
-                while frontier:
-                    b = frontier & -frontier
-                    grow |= masks[b.bit_length() - 1]
-                    frontier ^= b
+                while frontier:  # highest bit first: the mask narrows
+                    i = frontier.bit_length() - 1
+                    grow |= masks[i]
+                    frontier ^= 1 << i
                 near |= grow
                 frontier = grow & low
                 low ^= frontier
@@ -492,9 +492,9 @@ def _mcs_m(masks, allowed):
                 level[t] ^= up
                 level[t + 1] |= up
                 while up:
-                    b = up & -up
-                    later[b.bit_length() - 1] |= zbit
-                    up ^= b
+                    i = up.bit_length() - 1
+                    later[i] |= zbit
+                    up ^= 1 << i
         if raised[top]:
             top += 1
     return [later[z] for z in generators]

@@ -291,14 +291,13 @@ def _separated_components(masks, rest, kmask):
             if fresh:
                 left ^= fresh
                 seen[s] |= fresh
-                while fresh:
-                    b = fresh & -fresh
-                    v = b.bit_length() - 1
+                while fresh:  # highest bit first: the mask narrows
+                    v = fresh.bit_length() - 1
                     owner[v] = s
                     nxt |= masks[v]
-                    fresh ^= b
+                    fresh ^= 1 << v
             while met:  # every vertex of met belongs to another search
-                t = find(owner[(met & -met).bit_length() - 1])
+                t = find(owner[met.bit_length() - 1])
                 parent[t] = s
                 seen[s] |= seen[t]
                 nxt |= pending[t]
