@@ -127,13 +127,12 @@ def _attach_index(groups, bits, held, start, end, k, kmask):
 
     `held` lists, in increasing order, the indices of the groups that hold
     one vertex of the separator; only they can contain it. The scan takes
-    the part of `held` inside [start, end), or the range itself when that
-    is shorter.
+    the part of `held` inside [start, end).
     """
     lo = bisect_left(held, start)
     hi = bisect_left(held, end, lo)
     best = None
-    for i in held[lo:hi] if hi - lo < end - start else range(start, end):
+    for i in held[lo:hi]:
         if bits[i] & kmask == kmask:
             if best is None or groups[i] < groups[best]:
                 best = i
@@ -353,8 +352,6 @@ def _abelian_gog(g, groups, edges, hanging):
     """The relative decomposition's groups and edges with each vertex of
     `hanging` turned into a loop, contracted as `reduce` does and built
     once."""
-    if not hanging:  # the relative decomposition is reduced already
-        return _build(g, groups, edges)
     groups, edges = list(groups), list(edges)  # jsj_report shares them
     nodes_of = {}
     for i, grp in enumerate(groups):
