@@ -11,7 +11,7 @@ exceeded. Input files are JSON or DOT, sniffed by content; "-" reads stdin.
 
 import argparse
 import functools
-import json
+from json.encoder import encode_basestring_ascii as _str
 import sys
 
 from .errors import (BudgetExceededError, DomainError, GraphParseError,
@@ -79,8 +79,41 @@ def _load_graph(path: str):
     return parse_graph(_read_text(path))
 
 
+def _dump(obj, pad="\n") -> str:
+    """The text of `json.dumps(obj, indent=2)` for the dict, list, str,
+    int, bool and None values the commands emit; any other value, or a
+    key that is not a str, raises TypeError. Given an indent, `json.dumps`
+    encodes in pure Python; this walk builds one string per container and
+    leaves the strings to the C escaper that `json.dumps` uses without
+    one."""
+    if isinstance(obj, str):
+        return _str(obj)
+    if isinstance(obj, list):
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        return "[" + inner + ("," + inner).join(
+            [_dump(v, inner) for v in obj]) + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        return "{" + inner + ("," + inner).join(
+            [_str(k) + ": " + _dump(v, inner)
+             for k, v in obj.items()]) + pad + "}"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if obj is None:
+        return "null"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    raise TypeError("cannot emit %s as JSON" % type(obj).__name__)
+
+
 def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
+    sys.stdout.write(_dump(obj) + "\n")
 
 
 def _cmd_analyze(args) -> int:

@@ -324,10 +324,10 @@ def _reach(masks, seed, allowed):
     frontier = seed
     while frontier and left:
         grow = 0
-        while frontier:
-            b = frontier & -frontier
-            grow |= masks[b.bit_length() - 1]
-            frontier ^= b
+        while frontier:  # highest bit first: the mask narrows
+            v = frontier.bit_length() - 1
+            grow |= masks[v]
+            frontier ^= 1 << v
         frontier = grow & left
         left ^= frontier
     return allowed ^ left
@@ -355,10 +355,11 @@ def _clique_mask(masks, m):
     neighbours cover the other members. An AND costs the narrower operand,
     so a member with a wide mask costs only the width of `m`."""
     rest = m
-    while rest:
-        b = rest & -rest
+    while rest:  # highest bit first: the mask narrows
+        v = rest.bit_length() - 1
+        b = 1 << v
         others = m ^ b
-        if masks[b.bit_length() - 1] & others != others:
+        if masks[v] & others != others:
             return False
         rest ^= b
     return True
@@ -389,10 +390,10 @@ def _join_masks(masks, allowed):
         frontier = allowed ^ left
         while frontier and left:
             common = left  # the vertices adjacent to the whole frontier
-            while frontier and common:
-                b = frontier & -frontier
-                common &= masks[b.bit_length() - 1]
-                frontier ^= b
+            while frontier and common:  # highest bit first, as in _reach
+                v = frontier.bit_length() - 1
+                common &= masks[v]
+                frontier ^= 1 << v
             frontier = left ^ common
             left = common
         factors.append(allowed ^ left)

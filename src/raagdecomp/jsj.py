@@ -489,15 +489,18 @@ def validate(gog: GraphOfGroups, abelian: bool = False) -> List[CheckResult]:
         tree_edges = [e for e in gog.edges if not e.is_loop]
         if len(tree_edges) != len(gog.nodes) - 1:
             return "non-loop edges do not count as a tree"
-        reach = {gog.nodes[0].id}
-        grow = True
-        while grow:
-            grow = False
-            for e in tree_edges:
-                a, b = e.ends
-                if (a in reach) != (b in reach):
-                    reach.update((a, b))
-                    grow = True
+        adjacent = {i: [] for i in idset}
+        for e in tree_edges:
+            a, b = e.ends
+            adjacent[a].append(b)
+            adjacent[b].append(a)
+        order = [gog.nodes[0].id]  # breadth-first from the first node
+        reach = set(order)
+        for a in order:
+            for b in adjacent[a]:
+                if b not in reach:
+                    reach.add(b)
+                    order.append(b)
         if reach != idset:
             return "non-loop edges do not connect the nodes"
         return ""

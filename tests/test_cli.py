@@ -1,10 +1,11 @@
 import io
 import json
 
+from hypothesis import example, given, settings, strategies as st
 import pytest
 
 from raagdecomp import CheckResult
-from raagdecomp.cli import main
+from raagdecomp.cli import _dump, main
 
 import golden
 
@@ -264,6 +265,35 @@ def test_output_bytes_match_golden_digests():
     # exit codes, stdout and stderr of every subcommand on the seeded
     # command line corpus (see golden.py)
     assert golden.cli_digests() == golden.stored_cli()
+
+
+# any code point, lone surrogates too, with the characters JSON escapes
+# (quotes, backslashes, controls) and a few wide ones drawn more often
+CHARS = st.characters(exclude_categories=()) | st.sampled_from(
+    ['"', "\\", "\x00", "\x1f", "\x7f", "\ud800", "\udfff", "\u2028", "é",
+     "\U0001f600"])
+
+JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**40, 10**40)
+    | st.text(CHARS, max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(CHARS, max_size=4), inner, max_size=4),
+    max_leaves=20)
+
+
+class TestJsonWriter:
+    @given(JSON_TREES)
+    @example({"a": [], "b": {}, "c": [[], {}, [1, [True, None]]], "": -3})
+    @settings(deadline=None, max_examples=500)
+    def test_same_bytes_as_the_stdlib_with_an_indent(self, obj):
+        assert _dump(obj) == json.dumps(obj, indent=2)
+
+    @pytest.mark.parametrize("value", [1.5, (1, 2), {"a"}, {1: "a"}])
+    def test_other_values_raise_type_error(self, value):
+        # floats, tuples and sets, also nested, and keys that are no str
+        for obj in (value, [value], {"k": value}):
+            with pytest.raises(TypeError):
+                _dump(obj)
 
 
 class TestTopLevel:

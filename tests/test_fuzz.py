@@ -7,7 +7,10 @@ must return or raise a `RaagError`; `cli.main` on the same input must
 return one of the documented exit codes (0 success, 1 input problem, 2
 validation failure, 3 budget exceeded) with no exception escaping, its
 output going to UTF-8 streams as a process's does (see `golden.cli_run`),
-so a name with no UTF-8 form must not reach the output. Words
+so a name with no UTF-8 form must not reach the output. Where a command
+that answers in JSON exits 0, its output must be exactly the bytes of
+`json.dumps(obj, indent=2)` of what it parses to, so arbitrary names and
+word text check the CLI's JSON writer too. Words
 given to the command line stay at 30 letters or fewer, so a generic
 word's centralizer stays cheap.
 """
@@ -97,17 +100,53 @@ def test_parse_word_answers_or_raises_a_raag_error(text):
     assert w is None or isinstance(w, Word)
 
 
+OPS = st.sampled_from(["nf", "support", "cyclic", "centralizer"])
+
 COMMANDS = st.sampled_from([
     ["analyze", "-"],
     ["jsj", "-"],
+    ["jsj", "-", "--mode", "abelian"],
     ["jsj", "-", "--mode", "abelian", "--format", "dot"],
 ])
+
+
+def _checked_run(text, argv):
+    """`cli_run`, checking the exit code and, on success, that JSON output
+    has the stdlib's bytes for two-space indents."""
+    code, out, err = cli_run(text, argv)
+    assert code in EXIT_CODES
+    dot = argv[0] == "jsj" and "dot" in argv  # an element word may be "dot"
+    if code == 0 and not dot:
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    return code, out, err
 
 
 @given(GRAPH_TEXT, COMMANDS)
 @settings(deadline=None, max_examples=150)
 def test_cli_on_arbitrary_graph_text(text, argv):
-    assert cli_run(text, argv)[0] in EXIT_CODES
+    _checked_run(text, argv)
+
+
+@st.composite
+def named_graph_text(draw):
+    """A JSON graph whose vertex names are any text (empty names and self
+    loops included, which are refused), with a word spelled in its names."""
+    names = draw(st.lists(st.text(min_size=1, max_size=4) | NAMES,
+                          min_size=1, max_size=6, unique=True))
+    pairs = st.tuples(st.sampled_from(names), st.sampled_from(names))
+    edges = draw(st.lists(pairs.map(list), max_size=8))
+    word = " ".join(draw(st.lists(st.sampled_from(names), max_size=6)))
+    return json.dumps({"vertices": names, "edges": edges}), word
+
+
+@given(named_graph_text(), COMMANDS | OPS.map(lambda op: ["element", "-",
+                                                         "--op", op]))
+@settings(deadline=None, max_examples=150)
+def test_cli_on_graphs_with_arbitrary_names(case, argv):
+    text, word = case
+    if argv[0] == "element":
+        argv = argv + ["--word", word]
+    _checked_run(text, argv)
 
 
 # letters of at most two each, at most 15 tokens: 30 letters or fewer
@@ -115,7 +154,6 @@ SHORT_WORDS = st.lists(
     st.sampled_from(["a", "b", "c", "d", "z", "a^-1", "b^2", "c^-2", "d^-1",
                      "a^", "b^0", "^", "é"]), max_size=15).map(" ".join)
 
-OPS = st.sampled_from(["nf", "support", "cyclic", "centralizer"])
 MODES = st.sampled_from(["pro-p", "pro-C"])
 
 
@@ -123,7 +161,7 @@ MODES = st.sampled_from(["pro-p", "pro-C"])
 @settings(deadline=None, max_examples=150)
 def test_cli_on_arbitrary_word_text(word, op, mode):
     argv = ["element", "-", "--word", word, "--op", op, "--mode", mode]
-    assert cli_run(P4_JSON, argv)[0] in EXIT_CODES
+    _checked_run(P4_JSON, argv)
 
 
 # letter codes take one byte, so words may use only the first 128
@@ -138,11 +176,9 @@ WIDE = json.dumps({"vertices": ["v%03d" % i for i in range(130)],
 @example("v000 v129", "centralizer")
 @settings(deadline=None, max_examples=60)
 def test_cli_word_over_130_vertex_graph(word, op):
-    code, out, err = cli_run(WIDE, ["element", "-", "--word", word,
-                                    "--op", op])
+    code, out, err = _checked_run(WIDE, ["element", "-", "--word", word,
+                                         "--op", op])
     if "v128" in word or "v129" in word:
         assert (code, out) == (1, "")
         assert "128 generators" in err
-    else:
-        assert code in EXIT_CODES
 

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import pytest
 
-from raagdecomp import (DomainError, GogNode, GraphOfGroups,
+from raagdecomp import (DomainError, GogEdge, GogNode, GraphOfGroups,
                         InvariantViolationError, SimplicialGraph,
                         abelian_jsj, amalgam_split, gog_to_dot,
                         gog_to_json_obj, hnn_split, jsj_report, parse_graph,
@@ -18,6 +18,12 @@ def complete_graph(n):
 
 def all_passed(checks):
     return [c.name for c in checks if not c.passed]
+
+
+def shape(gog):
+    """(passed, detail) of the shape check of `validate`."""
+    [check] = [c for c in validate(gog) if c.name == "shape"]
+    return check.passed, check.detail
 
 
 class TestPathOfFour:
@@ -180,6 +186,8 @@ class TestValidate:
         gog = _build(p4, [("a", "b"), ("c", "d")], [])
         names = all_passed(validate(gog))
         assert "shape" in names
+        assert shape(gog) == \
+            (False, "non-loop edges do not count as a tree")
 
     def test_detects_group_outside_endpoint(self, p4):
         gog = _build(p4, [("a", "b"), ("c", "d")], [(0, 1, ("b",), None)])
@@ -236,7 +244,41 @@ class TestValidate:
         gog = _build(p4, [("a", "b"), ("b", "c", "d")],
                      [(0, 1, ("b",), "a")])
         assert "shape" in all_passed(validate(gog))
+        assert shape(gog) == \
+            (False, "edge 0: stable letters belong to loops only")
 
+
+class TestShape:
+    # the details of the shape check that TestValidate does not pin
+    @staticmethod
+    def nodes(*ids):
+        return tuple(GogNode(i, ("a", "b", "c", "d"), False) for i in ids)
+
+    def test_no_nodes(self, p4):
+        assert shape(GraphOfGroups(p4, (), ())) == (False, "no nodes")
+
+    def test_duplicate_node_ids(self, p4):
+        gog = GraphOfGroups(p4, self.nodes(0, 1, 0), ())
+        assert shape(gog) == (False, "duplicate node ids")
+
+    def test_undefined_endpoint(self, p4):
+        gog = GraphOfGroups(p4, self.nodes(0, 1), (
+            GogEdge(0, (0, 1), ("b",), None), GogEdge(1, (1, 5), ("c",), None)))
+        assert shape(gog) == (False, "edge 1 has undefined endpoint")
+
+    def test_loops_do_not_count_as_tree_edges(self, p4):
+        # two nodes, one loop, no tree edge
+        gog = _build(p4, [("a", "b"), ("c", "d")], [(0, 0, ("b",), "a")])
+        assert shape(gog) == \
+            (False, "non-loop edges do not count as a tree")
+
+    def test_edges_do_not_connect(self, p4):
+        # three edges on four nodes, but a triangle leaves node 3 out
+        gog = GraphOfGroups(p4, self.nodes(0, 1, 2, 3), tuple(
+            GogEdge(i, ends, ("b",), None)
+            for i, ends in enumerate(((0, 1), (1, 2), (0, 2)))))
+        assert shape(gog) == \
+            (False, "non-loop edges do not connect the nodes")
 
 class TestNodeLookup:
     def test_first_node_with_an_id_wins(self, p4):

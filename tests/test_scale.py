@@ -31,7 +31,9 @@ number of leaves. Every split of a long path leaves one component that is
 nearly the whole piece, and the least group holding the separator sits in
 a subtree of nearly every group: walking that component, or scanning those
 groups, per split is quadratic in its length. So is validating a tree's
-edge groups with one search of the whole graph per edge.
+edge groups with one search of the whole graph per edge, and checking
+that the tree edges connect the nodes by sweeping the edge list until no
+node is added, when the edges are listed far end first.
 """
 
 import random
@@ -40,10 +42,10 @@ import time
 
 import pytest
 
-from raagdecomp import (BudgetExceededError, SimplicialGraph, Word,
-                        abelian_jsj, clique_separators, cyclically_reduce,
-                        equal, join_factors, jsj_report, normal_form,
-                        primitive_root, relative_jsj)
+from raagdecomp import (BudgetExceededError, GraphOfGroups, SimplicialGraph,
+                        Word, abelian_jsj, clique_separators,
+                        cyclically_reduce, equal, join_factors, jsj_report,
+                        normal_form, primitive_root, relative_jsj, validate)
 
 
 def path_graph(n):
@@ -183,6 +185,21 @@ def test_big_tree_report():
     assert sorted(e.stable_letter for e in report.abelian.edges
                   if e.is_loop) == list(leaves)
     assert all(c.passed for c in report.validation)
+
+
+def test_reversed_path_decomposition_validates():
+    # 8.2 s when the shape check grew the reached nodes by sweeping the
+    # edge list until nothing changed
+    names = ["v%05d" % i for i in range(10_001)]
+    g = SimplicialGraph(names, list(zip(names, names[1:])))
+    gog = relative_jsj(g)
+    reversed_edges = GraphOfGroups(g, gog.nodes, gog.edges[::-1])
+    t0 = time.perf_counter()
+    checks = validate(reversed_edges)
+    _within("validating a 10,000-node path decomposition with its edges "
+            "reversed", t0, 1)
+    assert len(gog.nodes) == 10_000
+    assert [c.name for c in checks if not c.passed] == []
 
 
 def test_star_join_factors():
