@@ -3,7 +3,9 @@
 Everything here enumerates: subsets for separators and atoms,
 breadth-first move closures for word equality, whole words for centralizer
 balls. None of it shares logic with the production code paths; that
-independence is the point.
+independence is the point. The centralizer ball runs a closure only for
+the words that the subgroup rule of `commuting_words` leaves open, so its
+verdicts too come from the closures and the group axioms alone.
 All enumeration is guarded by an `OracleBudget`, and hitting a cap raises
 `BudgetExceededError` naming the offending dimension.
 """
@@ -166,8 +168,13 @@ def _enumerated_ball(g: SimplicialGraph, max_len: int, max_states: int):
 
 def commuting_words(g: SimplicialGraph, w: Word, max_len: int,
                     budget: Optional[OracleBudget] = None) -> List[NormalForm]:
-    """Every canonical word u with length <= max_len and u*w = w*u, each
-    commutation decided by the closure oracle. Sorted shortlex."""
+    """Every canonical word u with length <= max_len and u*w = w*u, sorted
+    shortlex.
+
+    The words commuting with w form a subgroup, so when one part of a split
+    u = a*b commutes with w, u commutes exactly when the other part does;
+    the closure oracle decides only the words with no such split (the empty
+    word and single letters among them). No production code is used."""
     budget = budget or OracleBudget()
     if w.graph != g:
         raise DomainError("word does not live over the given graph")
@@ -180,9 +187,20 @@ def commuting_words(g: SimplicialGraph, w: Word, max_len: int,
             limit=budget.max_word_length)
     masks = g.masks
     wc = _encode(g, w.letters)
+    inside = {}
     out = []
     for u in _enumerated_ball(g, max_len, budget.max_states):
-        if kernels.closure_equal(u + wc, wc + u, masks, budget.max_states):
+        # the ball is factor-closed and shortlex sorted, so both parts of
+        # every split of u are already decided
+        for k in range(1, len(u)):
+            a, b = inside[u[:k]], inside[u[k:]]
+            if a or b:
+                hit = a and b
+                break
+        else:
+            hit = kernels.closure_equal(u + wc, wc + u, masks, budget.max_states)
+        inside[u] = hit
+        if hit:
             out.append(NormalForm(g, _decode(g, u)))
     return out
 

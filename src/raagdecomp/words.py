@@ -369,9 +369,10 @@ class CentralizerDescriptor:
         _same_graph(self, cand)
         g = self.graph
         masks = g.masks
-        t = self.conjugator
+        t = _encode(g, self.conjugator.letters)
         shifted = kernels.canonicalize(
-            _encode(g, (t.inverse() * cand * t).letters), masks)
+            bytes(b ^ 1 for b in reversed(t)) + _encode(g, cand.letters) + t,
+            masks)
         allowed = set(self.link_part)
         for f in self.factors:
             allowed.update(f.support)

@@ -1,4 +1,5 @@
 import inspect
+from itertools import combinations
 
 import pytest
 
@@ -7,6 +8,7 @@ from raagdecomp import (BudgetExceededError, DomainError, OracleBudget,
                         brute_clique_separators,
                         clique_separators, commuting_words, equal,
                         exhaustive_graphs, is_connected, parse_word)
+from raagdecomp import kernels
 from raagdecomp.oracles import _enumerated_ball
 
 
@@ -141,6 +143,33 @@ class TestCommutingWords:
         with pytest.raises(BudgetExceededError) as info:
             commuting_words(p4, parse_word(p4, "a b c"), 4)
         assert info.value.dimension == "max_word_length"
+
+    def test_closure_refusal_propagates(self):
+        # the closure of a single letter against "a b c d a" on K4 needs a
+        # fourth state; skipping closures must not swallow that refusal
+        k4 = SimplicialGraph(tuple("abcd"), list(combinations("abcd", 2)))
+        with pytest.raises(BudgetExceededError) as info:
+            commuting_words(k4, parse_word(k4, "a b c d a"), 1,
+                            OracleBudget(max_states=3))
+        assert (info.value.dimension, info.value.consumed,
+                info.value.limit) == ("max_states", 4, 3)
+
+    def test_splits_decide_most_words(self, monkeypatch):
+        # on the path a-b-c-d-e, most words of the radius-4 ball around c
+        # are settled by a split with a commuting part, not by a closure
+        p5 = SimplicialGraph(tuple("abcde"),
+                             [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")])
+        calls = []
+        closure_equal = kernels.closure_equal
+
+        def counted(*args):
+            calls.append(args)
+            return closure_equal(*args)
+
+        monkeypatch.setattr(kernels, "closure_equal", counted)
+        commuting_words(p5, parse_word(p5, "c"), 4)
+        ball = _enumerated_ball(p5, 4, OracleBudget().max_states)
+        assert len(calls) <= len(ball) // 2
 
 
 class TestExhaustiveGraphs:

@@ -1,5 +1,6 @@
 from collections import Counter, deque
 from dataclasses import replace
+from itertools import product
 import random
 import re
 
@@ -8,9 +9,10 @@ import pytest
 
 from raagdecomp import (BudgetExceededError, CentralizerDescriptor,
                         CentralizerFactor, DomainError, GraphOfGroups,
-                        SimplicialGraph, Word, abelian_jsj, amalgam_split,
-                        bfs_equal, brute_atoms, centralizer_descriptor,
-                        clique_separators, connected_components,
+                        NormalForm, OracleBudget, SimplicialGraph, Word,
+                        abelian_jsj, amalgam_split, bfs_equal, brute_atoms,
+                        centralizer_descriptor, clique_separators,
+                        commuting_words, connected_components,
                         cyclically_reduce, equal, exhaustive_graphs,
                         graph_to_dot, hnn_split, induced_subgraph, is_clique,
                         is_connected, join_factors, link, normal_form,
@@ -22,9 +24,10 @@ from raagdecomp.graphs import (_clique_minimal_separators, _component_masks,
                                _full_mask, _join_masks, _mcs_m, _names,
                                _splits, _vertex_mask)
 from raagdecomp.jsj import _build, _separated_components
-from raagdecomp.words import _encode
+from raagdecomp.oracles import _enumerated_ball
+from raagdecomp.words import _decode, _encode
 
-from conftest import random_connected_graph
+from conftest import random_connected_graph, random_word
 
 
 NAMES = "abcde"
@@ -840,3 +843,57 @@ def test_centralizer_descriptor_matches_support_calling_copy(gw, mode):
     _, w = gw
     assert centralizer_descriptor(w, mode) == \
         _support_calling_descriptor(w, mode)
+
+
+# --- the centralizer ball against the per-word closure loop it replaced --
+
+
+def _per_word_commuting(g, w, max_len, budget):
+    """`commuting_words` deciding every ball word by its own closure."""
+    masks = g.masks
+    wc = _encode(g, w.letters)
+    return [NormalForm(g, _decode(g, u))
+            for u in _enumerated_ball(g, max_len, budget.max_states)
+            if kernels.closure_equal(u + wc, wc + u, masks, budget.max_states)]
+
+
+def _small_connected_graphs():
+    for n in range(1, 5):
+        for g in exhaustive_graphs(n):
+            if is_connected(g):
+                yield g
+
+
+def test_ball_is_factor_closed():
+    # the split rule of `commuting_words` reads both parts of every split
+    # from the words already decided
+    for g in _small_connected_graphs():
+        ball = _enumerated_ball(g, 3, 10**6)
+        members = set(ball)
+        for u in ball:
+            assert all(u[i:j] in members
+                       for i in range(len(u)) for j in range(i, len(u) + 1))
+
+
+def test_commuting_words_matches_per_word_loop():
+    # every word of length <= 2 over every connected graph of <= 4
+    # vertices, against the closure loop at radius 3 cut to each radius
+    budget = OracleBudget()
+    for g in _small_connected_graphs():
+        letters = range(2 * len(g.vertices))
+        for n in range(3):
+            for codes in product(letters, repeat=n):
+                w = Word(g, _decode(g, codes))
+                full = _per_word_commuting(g, w, 3, budget)
+                for radius in range(4):
+                    assert commuting_words(g, w, radius, budget) == \
+                        [v for v in full if len(v.letters) <= radius]
+    budget = OracleBudget(max_word_length=9)
+    rng = random.Random(0xC0B)
+    for _ in range(20):
+        g = random_connected_graph(rng, rng.randrange(5, 7),
+                                   rng.random() * 0.6)
+        w = random_word(rng, g, rng.randrange(0, 5))
+        radius = rng.randrange(2, 5)
+        assert commuting_words(g, w, radius, budget) == \
+            _per_word_commuting(g, w, radius, budget)
