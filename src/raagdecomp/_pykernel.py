@@ -3,8 +3,9 @@
 Two independent families live here and must stay independent, because the
 second exists to check the first:
 
-* `canonicalize` is the production normal-form routine (greedy piling style:
-  stack reduction, then least-letter-first linearization).
+* `canonicalize` is the production normal-form routine: one pass that
+  inserts each letter into the shortlex-least spelling of the prefix read
+  so far, kept as runs of one letter.
 * `closure_canonical` / `closure_equal` are brute-force breadth-first
   closures under the two elementary moves (swap an adjacent commuting pair,
   delete an adjacent inverse pair), used only by the oracles.
@@ -22,61 +23,50 @@ import functools
 from .errors import BudgetExceededError
 
 
+_LETTERS = tuple(bytes((c,)) for c in range(256))
+
+
 def canonicalize(data, masks):
     """Shortlex-least geodesic representative of the element spelled by `data`.
 
-    Reduction: letters are pushed onto a stack; an incoming letter scans down
-    past commuting letters and cancels the first matching inverse it can
-    reach, a same-generator letter or a non-commuting letter blocks the scan.
-    Linearization: repeatedly emit the least letter that can be shuffled to
-    the front of what remains. A scan stops once every generator of the
-    reduced word is blocked, since no later letter can move to the front;
-    generators absent from the word never appear later in a scan, so they
-    are left out of the blocked sets.
+    One pass over the letters. The buffer always holds the shortlex-least
+    geodesic of the prefix read so far, as maximal runs of one letter, each
+    stored as the int `(count << 8) | code`. An incoming letter x scans the
+    runs from the top while their generators commute with x, remembering the
+    lowest scanned run whose letter is greater than x; the scan stops at the
+    first run of x's generator or of a generator x does not commute with.
+    If that run is x's inverse, x cancels one letter of it (the run goes
+    when it empties). Otherwise x goes just before the remembered run, or at
+    the end if there is none, extending the run before it when that run is
+    x's own: a greedy lex-least topological sort places a letter before the
+    first greater letter after its last dependency. Deleting a letter that
+    nothing after it depends on keeps the spelling least, and never leaves
+    two runs of one letter side by side: a least spelling has no factor
+    z y z with a lone y commuting with z, so runs never need merging.
     """
-    buf = bytearray()
+    runs = []
     for x in data:
         mx = masks[x >> 1]
-        gx = x >> 1
-        j = len(buf) - 1
-        cancel = -1
+        j = len(runs) - 1
+        at = j + 1
         while j >= 0:
-            y = buf[j]
-            gy = y >> 1
-            if gy == gx:
-                if y == (x ^ 1):
-                    cancel = j
+            y = runs[j] & 255
+            # masks[g] never holds g itself, so x's own generator stops too
+            if not (mx >> (y >> 1)) & 1:
                 break
-            if not (mx >> gy) & 1:
-                break
+            if y > x:
+                at = j
             j -= 1
-        if cancel >= 0:
-            del buf[cancel]
+        if j >= 0 and runs[j] & 255 == x ^ 1:
+            if runs[j] >> 9:  # two letters or more
+                runs[j] -= 256
+            else:
+                del runs[j]
+        elif at and runs[at - 1] & 255 == x:
+            runs[at - 1] += 256
         else:
-            buf.append(x)
-
-    full = 0
-    for x in set(buf):
-        full |= 1 << (x >> 1)
-    # block[g]: generators of the word that cannot move left past g
-    # (its non-neighbours and g itself)
-    block = [full & ~m for m in masks]
-    out = bytearray()
-    while buf:
-        bad = 0
-        best = 256
-        best_pos = -1
-        for p, x in enumerate(buf):
-            g = x >> 1
-            if not (bad >> g) & 1 and x < best:
-                best = x
-                best_pos = p
-            bad |= block[g]
-            if bad == full:
-                break
-        out.append(best)
-        del buf[best_pos]
-    return bytes(out)
+            runs.insert(at, 256 | x)
+    return b"".join([_LETTERS[r & 255] * (r >> 8) for r in runs])
 
 
 @functools.lru_cache(maxsize=64)

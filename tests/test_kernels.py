@@ -33,6 +33,48 @@ class TestPureKernel:
         masks = (0b10, 0b01)  # two commuting generators
         assert _pykernel.canonicalize(bytes((2, 0)), masks) == bytes((0, 2))
 
+    # Codes below: generator i gives 2*i (positive) and 2*i + 1 (inverse).
+
+    def test_insert_before_least_greater_commuting_run(self):
+        # edges b-a, b-c only; d c a is least, and b crosses a (less than
+        # b) and c (greater) before d stops it, so b goes just before c
+        masks = (0b0010, 0b0101, 0b0010, 0b0000)
+        assert _pykernel.canonicalize(bytes((6, 4, 0, 2)), masks) == \
+            bytes((6, 2, 4, 0))
+        # edges b-c, b-d, c-d: b crosses d and c, both greater, before a
+        # stops it, and goes before the lower of the two
+        masks = (0b0000, 0b1100, 0b1010, 0b0110)
+        assert _pykernel.canonicalize(bytes((0, 4, 6, 2)), masks) == \
+            bytes((0, 2, 4, 6))
+
+    def test_extend_run_just_before_insertion_point(self):
+        # a-b edge: the second a crosses b and joins the run a stopped at
+        masks = (0b10, 0b01)
+        assert _pykernel.canonicalize(bytes((0, 2, 0)), masks) == \
+            bytes((0, 0, 2))
+
+    def test_extend_last_run(self):
+        masks = (0b00, 0b00)
+        assert _pykernel.canonicalize(bytes((2, 0, 0, 0)), masks) == \
+            bytes((2, 0, 0, 0))
+
+    def test_cancel_one_letter_of_longer_run(self):
+        # a^3 b a^-1 with an a-b edge: a^-1 crosses b and shortens a^3
+        masks = (0b10, 0b01)
+        assert _pykernel.canonicalize(bytes((0, 0, 0, 2, 1)), masks) == \
+            bytes((0, 0, 2))
+
+    def test_cancel_whole_run(self):
+        masks = (0b000, 0b000, 0b000)
+        assert _pykernel.canonicalize(bytes((4, 2, 3)), masks) == bytes((4,))
+
+    def test_cancel_drops_remembered_insertion_point(self):
+        # d a b a^-1 with an a-b edge: a^-1 remembers b (greater, commuting)
+        # as its insertion point, then reaches a and cancels it instead
+        masks = (0b010, 0b001, 0b000)
+        assert _pykernel.canonicalize(bytes((4, 0, 2, 1)), masks) == \
+            bytes((4, 2))
+
     def test_closure_canonical_matches(self):
         rng = random.Random(11)
         for _ in range(150):

@@ -694,8 +694,9 @@ def test_closures_match_per_state_move_lists(gw, data, max_states):
 
 
 def _full_alphabet_canonicalize(data, masks):
-    """`canonicalize` with a linearization scan that stops only once every
-    generator of the graph is blocked, not just every one of the word."""
+    """Two-phase reference for `canonicalize`: a stack reduction, then a
+    least-letter-first linearization whose scan stops only once every
+    generator of the graph is blocked."""
     buf = bytearray()
     for x in data:
         mx = masks[x >> 1]
@@ -764,6 +765,38 @@ def test_canonicalize_matches_full_alphabet_scan(case):
     g, data = case
     assert _pykernel.canonicalize(data, g.masks) == \
         _full_alphabet_canonicalize(data, g.masks)
+
+
+@st.composite
+def run_words(draw):
+    """Letter codes as tokens x^e (e from 1 to 50, at most 400 letters in
+    all) over up to 24 generators, whose edges are drawn at a density from
+    0 to 1, so that the normal form holds many long runs to cross, extend
+    and cancel into."""
+    n = draw(st.integers(min_value=1, max_value=24))
+    density = draw(st.floats(min_value=0, max_value=1))
+    rng = draw(st.randoms(use_true_random=False))
+    masks = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+    tokens = draw(st.lists(st.tuples(
+        st.integers(min_value=0, max_value=2 * n - 1),
+        st.integers(min_value=1, max_value=50)), max_size=40))
+    data = b"".join(bytes((x,)) * e for x, e in tokens)[:400]
+    return data, tuple(masks)
+
+
+@given(run_words())
+@settings(max_examples=300, deadline=None)
+def test_canonicalize_matches_two_phase_reference_on_runs(case):
+    data, masks = case
+    nf = _pykernel.canonicalize(data, masks)
+    assert nf == _full_alphabet_canonicalize(data, masks)
+    if len(data) <= 6:
+        assert nf == _pykernel.closure_canonical(data, masks, 100_000)
 
 
 _TOKEN = re.compile(r"([A-Za-z0-9_]+)(?:\^([+-]?\d+))?\Z")

@@ -14,12 +14,14 @@ subtracts the whole rest of the graph per leaf.
 
 Cyclic reduction peels a long conjugator off one spelling; redoing the
 normal form for every peeled pair is quadratic in the word length. A
-linearization whose scan waits for every generator of the graph to be
-blocked runs to the end of a word that leaves out a generator adjacent to
-its letters, as the hub of hub-a, hub-b is left out of (a b)^n, and the
-primitive-root check of that word canonicalizes such powers. MCS-M that
-looks for the heaviest vertex among all the unnumbered ones is quadratic
-on any graph, and a star is where the abelian decomposition spends
+normal form that rescans the reduced word for every letter it emits is
+quadratic wherever a letter moves far: h across x^n with an x-h edge,
+the letters of (a b c)^n over a triangle, and, when the scan waits for
+every generator of the graph, (a b)^n over hub-a, hub-b, whose powers the
+primitive-root check canonicalizes. Inserting each letter into runs of
+one letter crosses a whole run in one step. MCS-M that looks for the
+heaviest vertex among all the unnumbered ones is quadratic on any graph,
+and a star is where the abelian decomposition spends
 nothing else. The primitive-root budget counts the nodes of a choice tree whose paths are
 far more numerous than its distinct remainders, so it is decided without
 walking the paths. A path has a separator per inner vertex: testing each
@@ -234,6 +236,31 @@ def test_hub_word_normal_form():
     nf = normal_form(word)
     _within("normal form of a 100,000-letter hub word", t0, 2)
     assert nf.letters == word.letters
+
+
+@pytest.mark.parametrize("hub", ["h", "y"])
+def test_long_run_and_commuting_letter_normal_form(hub):
+    # h sorts before x, y after it; either way the lone letter crosses or
+    # stays next to the whole run
+    g = SimplicialGraph(("x", hub), [("x", hub)])
+    run = (("x", 1),) * 100_000
+    for letters in (run + ((hub, 1),), ((hub, 1),) + run):
+        word = Word(g, letters)
+        t0 = time.perf_counter()
+        nf = normal_form(word)
+        _within("normal form of x^100000 %s in some order" % hub, t0, 2)
+        assert nf.letters == (((hub, 1),) + run if hub < "x"
+                              else run + ((hub, 1),))
+
+
+def test_triangle_word_normal_form():
+    g = SimplicialGraph(("a", "b", "c"),
+                        [("a", "b"), ("b", "c"), ("a", "c")])
+    word = Word(g, (("a", 1), ("b", 1), ("c", 1)) * 33_334)
+    t0 = time.perf_counter()
+    nf = normal_form(word)
+    _within("normal form of (a b c)^33334 over a triangle", t0, 2)
+    assert nf.letters == tuple(sorted(word.letters))
 
 
 def test_hub_word_primitive_root():
