@@ -34,11 +34,12 @@ class SimplicialGraph:
     Vertices are kept sorted; each edge is stored once as an ordered pair.
     `masks[i]` is the bitmask of the neighbours of the i-th vertex, bit j
     standing for the j-th: the graph's one adjacency, built with it.
+    `_alphabet` caches the word engine's letters (`words._alphabet`).
     Construction validates simplicity (no self-loops, no duplicate vertices,
     edge endpoints declared) and that every name has a UTF-8 form.
     """
 
-    __slots__ = ("vertices", "edges", "masks", "_index")
+    __slots__ = ("vertices", "edges", "masks", "_index", "_alphabet")
 
     def __init__(self, vertices, edges):
         vs = list(vertices)
@@ -73,6 +74,7 @@ class SimplicialGraph:
             masks[j] |= 1 << i
         self.edges = frozenset(norm)
         self.masks = tuple(masks)
+        self._alphabet = None
 
     def neighbors(self, v):
         return frozenset(_names(self.vertices, self.masks[self.index(v)]))
@@ -136,9 +138,9 @@ def _parse_json(text):
     for e in obj["edges"]:
         if not isinstance(e, list) or len(e) != 2:
             raise GraphParseError("each edge must be a two-element list, got %r" % (e,))
-        if not all(isinstance(x, str) for x in e):
+        if not (isinstance(e[0], str) and isinstance(e[1], str)):
             raise GraphParseError("edge endpoints must be vertex name strings, got %r" % (e,))
-    return SimplicialGraph(obj["vertices"], [tuple(e) for e in obj["edges"]])
+    return SimplicialGraph(obj["vertices"], obj["edges"])
 
 
 _DOT_ID = re.compile(r"[A-Za-z0-9_]+\Z")

@@ -7,12 +7,16 @@ their normal forms coincide.
 
 Letter order is (generator name, sign) with the positive letter before the
 inverse, generators in sorted name order; all determinism downstream leans
-on that order.
+on that order. The kernels read letter codes, one byte each: 2i for the
+i-th generator, 2i + 1 for its inverse. Words the engine builds carry
+their codes from parse to print; others encode theirs on first use.
 """
 
 from bisect import insort
+from collections import namedtuple
 from dataclasses import dataclass
-from itertools import chain, compress, repeat, starmap
+from functools import cached_property
+from itertools import compress
 import re
 from typing import Iterable, Tuple
 
@@ -23,8 +27,18 @@ from .graphs import SimplicialGraph, link, _join_masks, _names, _vertex_mask
 Letter = Tuple[str, int]
 
 
+class _Spelling:
+    @cached_property
+    def _codes(self) -> bytes:
+        return _encode(self.graph, self.letters)
+
+    def __str__(self) -> str:
+        return word_text(self)
+
+
 @dataclass(frozen=True)
-class Word:
+class Word(_Spelling):
+    """A spelling of an element; the constructor checks every letter."""
     graph: SimplicialGraph
     letters: Tuple[Letter, ...]
 
@@ -46,68 +60,94 @@ class Word:
     def written_length(self) -> int:
         return len(self.letters)
 
-    def __str__(self) -> str:
-        return word_text(self)
-
 
 @dataclass(frozen=True)
-class NormalForm:
-    """Canonical spelling; only engine operations construct these."""
+class NormalForm(_Spelling):
+    """Canonical spelling; only engine operations construct these. The
+    word engine's carry their letter codes, and `word` passes them on."""
     graph: SimplicialGraph
     letters: Tuple[Letter, ...]
 
     @property
     def word(self) -> Word:
-        return Word(self.graph, self.letters)
+        if "_codes" not in vars(self):  # letters from a caller: check them
+            return Word(self.graph, self.letters)
+        return _built(Word, self.graph, self._codes)
 
     def length(self) -> int:
         return len(self.letters)
 
-    def __str__(self) -> str:
-        return word_text(self)
+
+def _built(cls, graph, codes: bytes):
+    """`cls(graph, letters)` carrying the engine's own `codes`, unchecked."""
+    obj = object.__new__(cls)
+    vars(obj).update(graph=graph, letters=_decode(graph, codes), _codes=codes)
+    return obj
 
 
+_Alphabet = namedtuple("_Alphabet", "code letter text")
+_NAME = re.compile(r"[A-Za-z0-9_]+\Z")
 _TOKEN = re.compile(r"([A-Za-z0-9_]+)(?:\^([+-]?\d+))?\Z")
 
-# Most letters a parsed word may expand to. Each expanded letter costs
-# about 80 bytes, so the cap keeps a parsed word under about 100 MB.
+
+def _alphabet(graph: SimplicialGraph) -> _Alphabet:
+    """The graph's one alphabet, built on first use: `code` maps the tokens
+    `v` and `v^-1` of the first 128 generators with token names to codes,
+    `letter` and `text` give each code's letter and token text."""
+    if graph._alphabet is None:
+        vs = graph.vertices
+        texts = tuple(t for v in vs for t in (v, v + "^-1"))
+        graph._alphabet = _Alphabet(
+            {t: c for c, t in enumerate(texts[:256]) if _NAME.match(vs[c >> 1])},
+            tuple((v, s) for v in vs for s in (1, -1)), texts)
+    return graph._alphabet
+
+
+# Most letters a parsed word or a power may expand to. Each expanded
+# letter costs about 80 bytes, so the cap keeps a word under about 100 MB.
 MAX_WORD_LETTERS = 1_000_000
 
 
 def parse_word(graph: SimplicialGraph, text: str) -> Word:
     """Whitespace-separated tokens `v`, `v^-1`, `v^k` (k expanded).
 
-    Each distinct token text is parsed once. Raises DomainError on the
-    first malformed or unknown token, and when the word would expand to
-    more than MAX_WORD_LETTERS letters, before building any of them.
+    Tokens `v` and `v^-1` come from the graph's alphabet, others from the
+    token pattern. Raises DomainError on the first malformed or unknown
+    token, and when the word would expand to more than MAX_WORD_LETTERS
+    letters, before building any of them. Over a generator past the 128th
+    the word has no codes, and its first engine call raises DomainError.
     """
-    parsed = {}  # token text -> (letter, count)
-    runs = []
-    total = 0
-    for tok in text.split():
-        run = parsed.get(tok)
-        if run is None:
-            m = _TOKEN.match(tok)
-            if not m:
-                raise DomainError("malformed word token %r" % (tok,))
-            name, digits = m.group(1), m.group(2) or "1"
-            if name not in graph._index:
-                raise DomainError("unknown generator %r" % (name,))
-            sign = -1 if digits[0] == "-" else 1
-            digits = digits.lstrip("+-").lstrip("0") or "0"
-            # int() refuses more than 4300 digits; 20 are far over the cap
-            count = int(digits) if len(digits) <= 20 else MAX_WORD_LETTERS + 1
-            run = parsed[tok] = ((name, sign), count)
-        total += run[1]
-        if total > MAX_WORD_LETTERS:
-            raise DomainError("word expands to more than %d letters"
-                              % MAX_WORD_LETTERS)
-        runs.append(run)
-    return Word(graph, tuple(chain.from_iterable(starmap(repeat, runs))))
+    tokens = text.split()
+    codes = list(map(_alphabet(graph).code.get, tokens))
+    if None in codes or len(codes) > MAX_WORD_LETTERS:
+        codes, known = [], codes
+        for tok, c in zip(tokens, known):
+            count = 1
+            if c is None:  # not in the alphabet: match the token pattern
+                m = _TOKEN.match(tok)
+                if not m:
+                    raise DomainError("malformed word token %r" % (tok,))
+                name, digits = m.group(1), m.group(2) or "1"
+                i = graph._index.get(name)
+                if i is None:
+                    raise DomainError("unknown generator %r" % (name,))
+                c = 2 * i + (digits[0] == "-")
+                digits = digits.lstrip("+-").lstrip("0") or "0"
+                # int() refuses more than 4300 digits; 20 are far over the cap
+                count = int(digits) if len(digits) <= 20 else MAX_WORD_LETTERS + 1
+            if len(codes) + count > MAX_WORD_LETTERS:
+                raise DomainError("word expands to more than %d letters"
+                                  % MAX_WORD_LETTERS)
+            codes += [c] * count
+    try:
+        data = bytes(codes)
+    except ValueError:  # a letter past the 128th generator has no code
+        return Word(graph, _decode(graph, codes))
+    return _built(Word, graph, data)
 
 
 def word_text(w) -> str:
-    return " ".join(n if s > 0 else n + "^-1" for n, s in w.letters)
+    return " ".join(map(_alphabet(w.graph).text.__getitem__, w._codes))
 
 
 def _same_graph(a, b) -> None:
@@ -127,17 +167,17 @@ def _encode(graph: SimplicialGraph, letters: Iterable[Letter]) -> bytes:
             % len(graph.vertices)) from None
 
 
-def _decode(graph: SimplicialGraph, data: bytes) -> Tuple[Letter, ...]:
-    vs = graph.vertices
-    return tuple((vs[b >> 1], 1 if b % 2 == 0 else -1) for b in data)
+def _decode(graph: SimplicialGraph, codes) -> Tuple[Letter, ...]:
+    return tuple(map(_alphabet(graph).letter.__getitem__, codes))
+
 
 
 def _canonical_codes(w) -> bytes:
-    return kernels.canonicalize(_encode(w.graph, w.letters), w.graph.masks)
+    return kernels.canonicalize(w._codes, w.graph.masks)
 
 
 def normal_form(w: Word) -> NormalForm:
-    return NormalForm(w.graph, _decode(w.graph, _canonical_codes(w)))
+    return _built(NormalForm, w.graph, _canonical_codes(w))
 
 
 def equal(w1, w2) -> bool:
@@ -160,8 +200,12 @@ def retract(w: Word, s) -> Word:
 
 
 def power(w: Word, k: int) -> Word:
+    """w^k, refused above MAX_WORD_LETTERS letters before building any."""
+    if len(w.letters) * abs(k) > MAX_WORD_LETTERS:
+        raise DomainError("word expands to more than %d letters"
+                          % MAX_WORD_LETTERS)
     base = w if k >= 0 else w.inverse()
-    return Word(w.graph, base.letters * abs(k))
+    return _built(Word, w.graph, base._codes * abs(k))
 
 
 def _first_movable(codes: bytes, masks) -> dict:
@@ -255,8 +299,7 @@ def cyclically_reduce(w: Word) -> Tuple[NormalForm, Word]:
     rest, conj = _peel(_canonical_codes(w), masks)
     if conj:
         rest = kernels.canonicalize(rest, masks)
-    return (NormalForm(w.graph, _decode(w.graph, rest)),
-            Word(w.graph, _decode(w.graph, conj)))
+    return _built(NormalForm, w.graph, rest), _built(Word, w.graph, conj)
 
 
 def _divisors_descending(n: int):
@@ -328,13 +371,17 @@ def primitive_root(w, max_linearizations: int = 100_000) -> Tuple[NormalForm, in
     supp = _vertex_mask(g, {g.vertices[x >> 1] for x in set(codes)})
     if len(_join_masks(masks, supp)) > 1:
         raise DomainError("support splits as a join; factor the word first")
+    return _root(g, codes, max_linearizations)
+
+
+def _root(g: SimplicialGraph, codes: bytes, cap: int) -> Tuple[NormalForm, int]:
+    """`primitive_root` of the normal form `codes`, unchecked."""
     n = len(codes)
     for k in _divisors_descending(n):
-        m = n // k
-        for p in sorted(_length_m_prefixes(codes, m, masks, max_linearizations)):
-            if kernels.canonicalize(p * k, masks) == codes:
-                return NormalForm(g, _decode(g, p)), k
-    return NormalForm(g, _decode(g, codes)), 1
+        for p in sorted(_length_m_prefixes(codes, n // k, g.masks, cap)):
+            if kernels.canonicalize(p * k, g.masks) == codes:
+                return _built(NormalForm, g, p), k
+    return _built(NormalForm, g, codes), 1
 
 
 @dataclass(frozen=True)
@@ -369,10 +416,9 @@ class CentralizerDescriptor:
         _same_graph(self, cand)
         g = self.graph
         masks = g.masks
-        t = _encode(g, self.conjugator.letters)
+        t = self.conjugator._codes
         shifted = kernels.canonicalize(
-            bytes(b ^ 1 for b in reversed(t)) + _encode(g, cand.letters) + t,
-            masks)
+            bytes(b ^ 1 for b in reversed(t)) + cand._codes + t, masks)
         allowed = set(self.link_part)
         for f in self.factors:
             allowed.update(f.support)
@@ -385,7 +431,7 @@ class CentralizerDescriptor:
                 bytes(b for b in shifted if (b >> 1) in members), masks)
             if not coord:
                 continue
-            root = _encode(g, f.root.letters)
+            root = f.root._codes
             if len(coord) % len(root):
                 return False
             m = len(coord) // len(root)
@@ -403,17 +449,19 @@ def centralizer_descriptor(w: Word, mode: str = "pro-p") -> CentralizerDescripto
     each piece contributes the cyclic group on its primitive root, and the
     link of the support commutes with everything. A trivial word has no
     factors and link_part is the whole vertex set.
+
+    A piece, the reduced normal form's letters on one factor, is its own
+    normal form (no factor's letters order another's) and needs no checks.
     """
     if mode not in ("pro-p", "pro-C"):
         raise DomainError("mode must be 'pro-p' or 'pro-C', got %r" % (mode,))
     g = w.graph
     red, conj = cyclically_reduce(w)
-    supp = {name for name, _ in red.letters}
+    codes = red._codes
+    supp = {g.vertices[x >> 1] for x in set(codes)}
     factors = []
     for f in _join_masks(g.masks, _vertex_mask(g, supp)):
-        part = _names(g.vertices, f)
-        inside = set(part)
-        piece = Word(g, tuple(l for l in red.letters if l[0] in inside))
-        root, exponent = primitive_root(piece)
-        factors.append(CentralizerFactor(part, root, exponent))
+        piece = bytes(x for x in codes if f >> (x >> 1) & 1)
+        root, exponent = _root(g, piece, 100_000)  # primitive_root's budget
+        factors.append(CentralizerFactor(_names(g.vertices, f), root, exponent))
     return CentralizerDescriptor(g, mode, conj, tuple(factors), link(g, supp))

@@ -261,6 +261,23 @@ def test_lone_surrogate_name_is_an_input_error(argv):
         "which has no UTF-8 form\n"
 
 
+# letter codes take one byte, so a word may use only the first 128
+# generators; a bad token still wins over that, as parsing comes first
+WIDE = json.dumps({"vertices": ["v%03d" % i for i in range(130)],
+                   "edges": [["v%03d" % i, "v%03d" % (i + 1)]
+                             for i in range(129)]})
+
+
+@pytest.mark.parametrize("word, err", [
+    ("v128 zzz", "error: unknown generator 'zzz'\n"),
+    ("v128 v000", "error: words may use only the first 128 generators in "
+                  "sorted order (one-byte letter codes); this graph has 130\n"),
+])
+def test_word_past_the_128th_generator(word, err):
+    assert golden.cli_run(WIDE, ["element", "-", "--word", word]) == \
+        (1, "", err)
+
+
 def test_output_bytes_match_golden_digests():
     # exit codes, stdout and stderr of every subcommand on the seeded
     # command line corpus (see golden.py)

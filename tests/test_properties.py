@@ -828,12 +828,16 @@ def _per_token_parse(graph, text):
 
 def _parsed(parse, graph, text):
     try:
-        return parse(graph, text).letters
+        w = parse(graph, text)
     except Exception as exc:
         return type(exc), str(exc)
+    # the codes a parsed word carries are those of its letters
+    assert w._codes == _encode(graph, w.letters)
+    return w.letters
 
 
-TOKEN_NAMES = st.sampled_from(["a", "b", "c", "d", "z", "a_1", "", "é"])
+# "a-b" names a vertex but is no token name, so it must stay malformed
+TOKEN_NAMES = st.sampled_from(["a", "b", "c", "d", "z", "a_1", "", "é", "a-b"])
 EXPONENTS = st.sampled_from([
     "", "^", "^1", "^-1", "^2", "^+3", "^-0", "^0", "^+0", "^007", "^-0002",
     "^+009", "^٣", "^1^2", "^-", "^12", "^99999999999999999999999"])
@@ -846,7 +850,7 @@ EXPONENTS = st.sampled_from([
 def test_parse_word_matches_per_token_parser(pool, picks):
     # tokens repeat: each pick names one of a few distinct token texts
     text = " ".join(pool[i % len(pool)] for i in picks)
-    g = SimplicialGraph(("a", "b", "c", "d"), [("a", "b"), ("b", "c")])
+    g = SimplicialGraph(("a", "b", "c", "d", "a-b"), [("a", "b"), ("b", "c")])
     # a small cap, so that repeated tokens reach it
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(words, "MAX_WORD_LETTERS", 30)
@@ -876,6 +880,35 @@ def test_centralizer_descriptor_matches_support_calling_copy(gw, mode):
     _, w = gw
     assert centralizer_descriptor(w, mode) == \
         _support_calling_descriptor(w, mode)
+
+
+def _assert_carries_its_codes(x):
+    """An engine-built word carries the codes of its letters, prints its
+    letters, and equals the value rebuilt from its text through the public
+    constructors (as `perfbench/ops.py` rebuilds a descriptor)."""
+    g = x.graph
+    assert "_codes" in vars(x)
+    assert x._codes == _encode(g, x.letters)
+    text = " ".join(n if s > 0 else n + "^-1" for n, s in x.letters)
+    assert word_text(x) == str(x) == text
+    rebuilt = type(x)(g, parse_word(g, text).letters)
+    assert rebuilt == x and hash(rebuilt) == hash(x)
+
+
+@given(st.one_of(graph_words(), conjugated_words()),
+       st.integers(min_value=-3, max_value=3))
+@settings(deadline=None)
+def test_engine_words_carry_their_codes(gw, k):
+    _, w = gw
+    nf = normal_form(w)
+    red, conj = cyclically_reduce(w)
+    d = centralizer_descriptor(w)
+    built = [nf, nf.word, red, conj, power(w, k), d.conjugator]
+    built += [f.root for f in d.factors]
+    if len(d.factors) == 1:
+        built.append(primitive_root(red)[0])
+    for x in built:
+        _assert_carries_its_codes(x)
 
 
 # --- the centralizer ball against the per-word closure loop it replaced --

@@ -111,6 +111,13 @@ class TestSupportAndRetract:
         assert equal(power(w(p4, "a c"), -1), w(p4, "c^-1 a^-1"))
         assert equal(power(w(p4, "a c"), 0), w(p4, ""))
 
+    def test_power_over_length_cap(self, p4):
+        # 1,000,002 letters: refused before any of them is built
+        k = MAX_WORD_LETTERS // 2 + 1
+        with pytest.raises(DomainError, match="more than %d" % MAX_WORD_LETTERS):
+            power(w(p4, "a c"), k)
+        assert power(w(p4, "a c"), -(k - 1)).written_length() == MAX_WORD_LETTERS
+
 
 class TestCyclicReduction:
     def test_conjugate_peels_off(self, p4):
