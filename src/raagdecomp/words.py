@@ -63,16 +63,13 @@ class Word(_Spelling):
 
 @dataclass(frozen=True)
 class NormalForm(_Spelling):
-    """Canonical spelling; only engine operations construct these. The
-    word engine's carry their letter codes, and `word` passes them on."""
+    """Canonical spelling; only engine operations construct these."""
     graph: SimplicialGraph
     letters: Tuple[Letter, ...]
 
     @property
     def word(self) -> Word:
-        if "_codes" not in vars(self):  # letters from a caller: check them
-            return Word(self.graph, self.letters)
-        return _built(Word, self.graph, self._codes)
+        return Word(self.graph, self.letters)
 
     def length(self) -> int:
         return len(self.letters)
@@ -106,6 +103,8 @@ def _alphabet(graph: SimplicialGraph) -> _Alphabet:
 # Most letters a parsed word or a power may expand to. Each expanded
 # letter costs about 80 bytes, so the cap keeps a word under about 100 MB.
 MAX_WORD_LETTERS = 1_000_000
+# Default budget of the root search: nodes of the linearization choice tree.
+MAX_LINEARIZATIONS = 100_000
 
 
 def parse_word(graph: SimplicialGraph, text: str) -> Word:
@@ -147,7 +146,9 @@ def parse_word(graph: SimplicialGraph, text: str) -> Word:
 
 
 def word_text(w) -> str:
-    return " ".join(map(_alphabet(w.graph).text.__getitem__, w._codes))
+    if "_codes" in vars(w):  # else perhaps not encodable: print the letters
+        return " ".join(map(_alphabet(w.graph).text.__getitem__, w._codes))
+    return " ".join(n if s > 0 else n + "^-1" for n, s in w.letters)
 
 
 def _same_graph(a, b) -> None:
@@ -169,7 +170,6 @@ def _encode(graph: SimplicialGraph, letters: Iterable[Letter]) -> bytes:
 
 def _decode(graph: SimplicialGraph, codes) -> Tuple[Letter, ...]:
     return tuple(map(_alphabet(graph).letter.__getitem__, codes))
-
 
 
 def _canonical_codes(w) -> bytes:
@@ -352,7 +352,7 @@ def _length_m_prefixes(codes: bytes, m: int, masks, cap: int):
     return prefixes[codes]
 
 
-def primitive_root(w, max_linearizations: int = 100_000) -> Tuple[NormalForm, int]:
+def primitive_root(w, max_linearizations: int = MAX_LINEARIZATIONS) -> Tuple[NormalForm, int]:
     """Largest k with w = root^k, for a cyclically reduced w whose support
     does not split as a join.
 
@@ -462,6 +462,6 @@ def centralizer_descriptor(w: Word, mode: str = "pro-p") -> CentralizerDescripto
     factors = []
     for f in _join_masks(g.masks, _vertex_mask(g, supp)):
         piece = bytes(x for x in codes if f >> (x >> 1) & 1)
-        root, exponent = _root(g, piece, 100_000)  # primitive_root's budget
+        root, exponent = _root(g, piece, MAX_LINEARIZATIONS)
         factors.append(CentralizerFactor(_names(g.vertices, f), root, exponent))
     return CentralizerDescriptor(g, mode, conj, tuple(factors), link(g, supp))

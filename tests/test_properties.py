@@ -883,11 +883,10 @@ def test_centralizer_descriptor_matches_support_calling_copy(gw, mode):
 
 
 def _assert_carries_its_codes(x):
-    """An engine-built word carries the codes of its letters, prints its
-    letters, and equals the value rebuilt from its text through the public
-    constructors (as `perfbench/ops.py` rebuilds a descriptor)."""
+    """A word has the codes of its letters, prints its letters, and equals
+    the value rebuilt from its text through the public constructors (as
+    `perfbench/ops.py` rebuilds a descriptor)."""
     g = x.graph
-    assert "_codes" in vars(x)
     assert x._codes == _encode(g, x.letters)
     text = " ".join(n if s > 0 else n + "^-1" for n, s in x.letters)
     assert word_text(x) == str(x) == text
@@ -903,11 +902,15 @@ def test_engine_words_carry_their_codes(gw, k):
     nf = normal_form(w)
     red, conj = cyclically_reduce(w)
     d = centralizer_descriptor(w)
-    built = [nf, nf.word, red, conj, power(w, k), d.conjugator]
+    built = [nf, red, conj, power(w, k), d.conjugator]
     built += [f.root for f in d.factors]
     if len(d.factors) == 1:
         built.append(primitive_root(red)[0])
-    for x in built:
+    # engine-built words carry their codes; a normal form's word is built
+    # through the checking constructor and encodes its letters on first use
+    assert all("_codes" in vars(x) for x in built)
+    assert "_codes" not in vars(nf.word)
+    for x in built + [nf.word]:
         _assert_carries_its_codes(x)
 
 

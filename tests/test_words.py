@@ -1,9 +1,9 @@
 import pytest
 
-from raagdecomp import (BudgetExceededError, DomainError, SimplicialGraph,
-                        Word, centralizer_descriptor, cyclically_reduce,
-                        equal, normal_form, parse_word, power, primitive_root,
-                        retract, support, word_text)
+from raagdecomp import (BudgetExceededError, DomainError, NormalForm,
+                        SimplicialGraph, Word, centralizer_descriptor,
+                        cyclically_reduce, equal, normal_form, parse_word,
+                        power, primitive_root, retract, support, word_text)
 from raagdecomp.words import MAX_WORD_LETTERS, _encode
 
 
@@ -85,6 +85,9 @@ class TestNormalForm:
         assert str(normal_form(w(g, "v127^-1 v000"))) == "v127^-1 v000"
         with pytest.raises(DomainError, match="first 128 generators"):
             normal_form(w(g, "v128"))
+        # such a word, and a caller's normal form on any names, still print
+        assert str(w(g, "v128 v000^-1")) == "v128 v000^-1"
+        assert str(NormalForm(g, (("v129", -1), ("zzz", 1)))) == "v129^-1 zzz"
 
     def test_equal_rejects_cross_graph(self, p4, k3):
         with pytest.raises(DomainError):
