@@ -34,7 +34,8 @@ class _Parser(argparse.ArgumentParser):
 # building the parser costs about a millisecond per call of main;
 # every call in a process shares the first one instead
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    """The full parser and its subcommands' parsers by name."""
     parser = _Parser(prog="raagdecomp",
                      description="Structural decompositions of right-angled "
                                  "Artin groups from their defining graphs.")
@@ -62,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="completion variety for --op centralizer")
     p.set_defaults(func=_cmd_element)
 
-    return parser
+    return parser, sub.choices
 
 
 def _read_text(path: str) -> str:
@@ -220,9 +221,17 @@ def _cmd_element(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = commands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        # a subcommand's parser gives what the full one would, but when no
+        # subcommand comes first or arguments are left the full one speaks
+        args, rest = sub.parse_known_args(argv[1:]) if sub else (None, True)
+        if rest:
+            args = parser.parse_args(argv)
+        else:
+            args.command = argv[0]
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

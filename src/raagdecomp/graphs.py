@@ -27,6 +27,10 @@ from .errors import DomainError, GraphParseError, GraphValidationError
 
 _SURROGATE = re.compile("[\ud800-\udfff]")
 
+# Most bits the masks of one graph may take (256 MB): a vertex's mask is as
+# wide as its highest neighbour index, so a path in name order takes n^2 / 2.
+MAX_MASK_BITS = 2 ** 31
+
 
 class SimplicialGraph:
     """Immutable finite simple graph with string-named vertices.
@@ -36,7 +40,8 @@ class SimplicialGraph:
     standing for the j-th: the graph's one adjacency, built with it.
     `_alphabet` caches the word engine's letters (`words._alphabet`).
     Construction validates simplicity (no self-loops, no duplicate vertices,
-    edge endpoints declared) and that every name has a UTF-8 form.
+    edge endpoints declared), that every name has a UTF-8 form, and that
+    the masks fit in MAX_MASK_BITS bits, counted first (else DomainError).
     """
 
     __slots__ = ("vertices", "edges", "masks", "_index", "_alphabet")
@@ -55,6 +60,7 @@ class SimplicialGraph:
         self.vertices = tuple(sorted(vs))
         idx = self._index = {v: i for i, v in enumerate(self.vertices)}
         masks = [0] * len(vs)
+        wide = len(vs) ** 2 > MAX_MASK_BITS  # else the masks cannot pass it
         norm = set()
         for e in edges:
             try:
@@ -70,8 +76,20 @@ class SimplicialGraph:
             if i == j:
                 raise GraphValidationError("self-loop at vertex %r" % (u,))
             norm.add((u, v) if i < j else (v, u))
-            masks[i] |= 1 << j
-            masks[j] |= 1 << i
+            if not wide:
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+        if wide:  # count the masks' bits, then build them
+            pairs = sorted((idx[u], idx[v]) for u, v in norm)  # i < j
+            top = {j: i for i, j in pairs}  # highest neighbour: the last
+            top.update(pairs)  # higher one in `pairs`, else the last lower
+            bits = sum(top.values()) + len(top)
+            if bits > MAX_MASK_BITS:
+                raise DomainError("adjacency masks would take %d bits, more "
+                                  "than %d" % (bits, MAX_MASK_BITS))
+            for i, j in pairs:
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
         self.edges = frozenset(norm)
         self.masks = tuple(masks)
         self._alphabet = None

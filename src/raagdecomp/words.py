@@ -9,7 +9,7 @@ Letter order is (generator name, sign) with the positive letter before the
 inverse, generators in sorted name order; all determinism downstream leans
 on that order. The kernels read letter codes, one byte each: 2i for the
 i-th generator, 2i + 1 for its inverse. Words the engine builds carry
-their codes from parse to print; others encode theirs on first use.
+their codes and decode their letters when read; others encode on first use.
 """
 
 from bisect import insort
@@ -27,7 +27,19 @@ from .graphs import SimplicialGraph, link, _join_masks, _names, _vertex_mask
 Letter = Tuple[str, int]
 
 
+class _Decoded:
+    """An engine-built word's letters, decoded from its codes on first read;
+    on the class it raises AttributeError, so no dataclass default."""
+    def __get__(self, w, cls=None):
+        if w is None:
+            raise AttributeError("letters")
+        letters = vars(w)["letters"] = _decode(w.graph, vars(w)["_codes"])
+        return letters
+
+
 class _Spelling:
+    letters = _Decoded()
+
     @cached_property
     def _codes(self) -> bytes:
         return _encode(self.graph, self.letters)
@@ -72,13 +84,14 @@ class NormalForm(_Spelling):
         return Word(self.graph, self.letters)
 
     def length(self) -> int:
-        return len(self.letters)
+        return len(self._codes if "_codes" in vars(self) else self.letters)
 
 
 def _built(cls, graph, codes: bytes):
-    """`cls(graph, letters)` carrying the engine's own `codes`, unchecked."""
+    """`cls(graph, letters)` carrying the engine's own `codes`, unchecked;
+    its letters are decoded from them on first read."""
     obj = object.__new__(cls)
-    vars(obj).update(graph=graph, letters=_decode(graph, codes), _codes=codes)
+    vars(obj).update(graph=graph, _codes=codes)
     return obj
 
 

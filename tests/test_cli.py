@@ -1,10 +1,11 @@
 import io
 import json
+from pathlib import Path
 
 from hypothesis import example, given, settings, strategies as st
 import pytest
 
-from raagdecomp import CheckResult
+from raagdecomp import CheckResult, cli, words
 from raagdecomp.cli import _dump, main
 
 import golden
@@ -245,6 +246,17 @@ class TestElement:
         code, _, _ = run(capsys, "element", p4_file)
         assert code == 1
 
+    def test_printing_decodes_no_letters(self, capsys, p4_file, monkeypatch):
+        # engine-built words print from their codes; none decodes letters
+        calls = []
+        decode = words._decode
+        monkeypatch.setattr(words, "_decode", lambda g, codes:
+                            calls.append(codes) or decode(g, codes))
+        for op in ("nf", "support", "cyclic", "centralizer"):
+            assert run(capsys, "element", p4_file, "--word",
+                       "a b c b^-1 a^-1 d", "--op", op)[0] == 0
+        assert calls == []
+
 
 @pytest.mark.parametrize("argv", [
     ["analyze", "-"],
@@ -311,6 +323,27 @@ class TestJsonWriter:
         for obj in (value, [value], {"k": value}):
             with pytest.raises(TypeError):
                 _dump(obj)
+
+
+# exit code, stdout and stderr of `main` on the P4 graph per argv, as the
+# full parser alone gave them; null stands for `main()` reading sys.argv
+ARGV_PINS = json.loads(
+    (Path(__file__).parent / "data" / "cli_argv.json").read_text())
+SYS_ARGV = ["raagdecomp", "element", "-", "--word", "b a c", "--op", "nf"]
+
+
+@pytest.mark.parametrize("pin", ARGV_PINS, ids=lambda p: "sys.argv"
+                         if p["argv"] is None else " ".join(p["argv"]) or "-")
+def test_argv_handling_matches_the_full_parser(pin, monkeypatch):
+    # usage lines wrap at the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr("sys.argv", SYS_ARGV)
+    got = golden.cli_run(P4_JSON, pin["argv"])
+    assert got == (pin["code"], pin["stdout"], pin["stderr"])
+    # with no subcommand parser to hand to, every argv meets the full one
+    full = cli._build_parser()[0]
+    monkeypatch.setattr(cli, "_build_parser", lambda: (full, {}))
+    assert golden.cli_run(P4_JSON, pin["argv"]) == got
 
 
 class TestTopLevel:

@@ -62,6 +62,25 @@ class TestConstruction:
         # vertices a,b,c,d -> indices 0..3; edges ab, bc, cd
         assert p4.masks == (0b0010, 0b0101, 0b1010, 0b0100)
 
+    def test_masks_past_the_cap_refused(self, monkeypatch):
+        # a path in name order: the i-th mask reaches bit i + 1, so n
+        # vertices take (n - 1)(n + 4) / 2 bits, 987 at 43 and 1032 at 44;
+        # past the cap they are counted first (n^2 > 1000), then built
+        names = ["v%02d" % i for i in range(44)]
+        path = list(zip(names, names[1:]))
+        narrow = SimplicialGraph(names[:43], path[:42])
+        monkeypatch.setattr(raagdecomp.graphs, "MAX_MASK_BITS", 1000)
+        g = SimplicialGraph(reversed(names[:43]), reversed(path[:42]))
+        assert g.masks == narrow.masks
+        assert sum(m.bit_length() for m in g.masks) == 987
+        with pytest.raises(DomainError) as info:
+            SimplicialGraph(names, path)
+        assert str(info.value) == \
+            "adjacency masks would take 1032 bits, more than 1000"
+        # an input refused for its edges keeps its message
+        with pytest.raises(GraphValidationError, match="'zz' is not a decl"):
+            SimplicialGraph(names, path + [("v00", "zz")])
+
     def test_adjacency_of_unknown_vertices(self, p4):
         for ask in (lambda: p4.adjacent("z", "a"), lambda: p4.neighbors("z"),
                     lambda: p4.index("z"), lambda: star(p4, "z")):

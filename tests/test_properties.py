@@ -1,6 +1,8 @@
 from collections import Counter, deque
+import copy
 from dataclasses import replace
 from itertools import product
+import pickle
 import random
 import re
 
@@ -906,9 +908,20 @@ def test_engine_words_carry_their_codes(gw, k):
     built += [f.root for f in d.factors]
     if len(d.factors) == 1:
         built.append(primitive_root(red)[0])
-    # engine-built words carry their codes; a normal form's word is built
-    # through the checking constructor and encodes its letters on first use
-    assert all("_codes" in vars(x) for x in built)
+    # engine-built words carry their codes and decode no letters until
+    # these are read; printing and a normal form's length read the codes
+    assert all("_codes" in vars(x) and "letters" not in vars(x)
+               for x in built)
+    assert nf.length() == len(nf._codes) and "letters" not in vars(nf)
+    for x in built:
+        copies = [copy.copy(x), pickle.loads(pickle.dumps(x))]
+        str(x)
+        assert "letters" not in vars(x)
+        assert x.letters == _decode(x.graph, x._codes)
+        for y in copies + [replace(x), type(x)(x.graph, x.letters)]:
+            assert y == x and hash(y) == hash(x) and repr(y) == repr(x)
+    # a normal form's word is built through the checking constructor and
+    # encodes its letters on first use
     assert "_codes" not in vars(nf.word)
     for x in built + [nf.word]:
         _assert_carries_its_codes(x)

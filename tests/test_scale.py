@@ -35,9 +35,12 @@ a subtree of nearly every group: walking that component, or scanning those
 groups, per split is quadratic in its length. So is validating a tree's
 edge groups with one search of the whole graph per edge, and checking
 that the tree edges connect the nodes by sweeping the edge list until no
-node is added, when the edges are listed far end first.
+node is added, when the edges are listed far end first. The masks of a
+path in name order grow with the square of its length; past their cap
+such a path is refused after one count over its edges, with no mask built.
 """
 
+import json
 import random
 import sys
 import time
@@ -48,6 +51,8 @@ from raagdecomp import (BudgetExceededError, GraphOfGroups, SimplicialGraph,
                         Word, abelian_jsj, clique_separators,
                         cyclically_reduce, equal, join_factors, jsj_report,
                         normal_form, primitive_root, relative_jsj, validate)
+
+import golden
 
 
 def path_graph(n):
@@ -78,6 +83,20 @@ def _within(label, t0, limit):
     elapsed = time.perf_counter() - t0
     assert elapsed < limit, \
         "%s took %.1fs, budget is %ds" % (label, elapsed, limit)
+
+
+def test_path_past_the_mask_cap_refused():
+    # a path of n vertices in name order takes (n - 1)(n + 4) / 2 mask
+    # bits; at 65,535 that passes MAX_MASK_BITS = 2^31 by 32,765 bits, and
+    # the count over the edges refuses it before any mask is built
+    names = ["v%05d" % i for i in range(65_535)]
+    text = json.dumps({"vertices": names,
+                       "edges": [list(e) for e in zip(names, names[1:])]})
+    t0 = time.perf_counter()
+    assert golden.cli_run(text, ["analyze", "-"]) == (1, "", (
+        "error: adjacency masks would take 2147516413 bits, more than "
+        "2147483648\n"))
+    _within("refusing a 65,535-vertex path", t0, 1)
 
 
 def test_deep_splitting_tree_needs_no_recursion():

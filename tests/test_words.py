@@ -88,6 +88,7 @@ class TestNormalForm:
         # such a word, and a caller's normal form on any names, still print
         assert str(w(g, "v128 v000^-1")) == "v128 v000^-1"
         assert str(NormalForm(g, (("v129", -1), ("zzz", 1)))) == "v129^-1 zzz"
+        assert NormalForm(g, (("v129", -1), ("v000", 1))).length() == 2
 
     def test_equal_rejects_cross_graph(self, p4, k3):
         with pytest.raises(DomainError):
