@@ -10,11 +10,12 @@ second exists to check the first:
   closures under the two elementary moves (swap an adjacent commuting pair,
   delete an adjacent inverse pair), used only by the oracles.
 
-Encoding shared by both families: a letter is one byte `2*i + s` where `i`
+Encoding shared by both families: a letter is the int `2*i + s` where `i`
 is the generator index in the graph's sorted vertex order and `s` is 0 for
 a positive letter, 1 for an inverse; `code ^ 1` is the inverse letter and
 `code >> 1` the generator. `masks[i]` is the bitmask of generator indices
-adjacent to generator `i` (never including `i` itself).
+adjacent to generator `i` (never including `i` itself). The closures hold
+one byte per letter.
 """
 
 from collections import deque
@@ -23,50 +24,56 @@ import functools
 from .errors import BudgetExceededError
 
 
-_LETTERS = tuple(bytes((c,)) for c in range(256))
-
-
 def canonicalize(data, masks):
     """Shortlex-least geodesic representative of the element spelled by `data`.
 
     One pass over the letters. The buffer always holds the shortlex-least
     geodesic of the prefix read so far, as maximal runs of one letter, each
-    stored as the int `(count << 8) | code`. An incoming letter x scans the
-    runs from the top while their generators commute with x, remembering the
-    lowest scanned run whose letter is greater than x; the scan stops at the
-    first run of x's generator or of a generator x does not commute with.
-    If that run is x's inverse, x cancels one letter of it (the run goes
-    when it empties). Otherwise x goes just before the remembered run, or at
-    the end if there is none, extending the run before it when that run is
-    x's own: a greedy lex-least topological sort places a letter before the
-    first greater letter after its last dependency. Deleting a letter that
-    nothing after it depends on keeps the spelling least, and never leaves
-    two runs of one letter side by side: a least spelling has no factor
-    z y z with a lone y commuting with z, so runs never need merging.
+    stored as the int `count * one + code` (`one` exceeds every code). An
+    incoming letter x scans the runs from the top while their generators
+    commute with x, remembering the lowest scanned run whose letter is
+    greater than x; the scan stops at the first run of x's generator or of a
+    generator x does not commute with. If that run is x's inverse, x cancels
+    one letter of it (the run goes when it empties). Otherwise x goes just
+    before the remembered run, or at the end if there is none, extending the
+    run before it when that run is x's own: a greedy lex-least topological
+    sort places a letter before the first greater letter after its last
+    dependency. Deleting a letter that nothing after it depends on keeps the
+    spelling least, and never leaves two runs of one letter side by side: a
+    least spelling has no factor z y z with a lone y commuting with z, so
+    runs never need merging. The codes come back in the type of `data`.
     """
+    one = 1 << (2 * len(masks)).bit_length()
+    low = one - 1
     runs = []
     for x in data:
         mx = masks[x >> 1]
         j = len(runs) - 1
         at = j + 1
         while j >= 0:
-            y = runs[j] & 255
+            y = runs[j] & low
             # masks[g] never holds g itself, so x's own generator stops too
             if not (mx >> (y >> 1)) & 1:
                 break
             if y > x:
                 at = j
             j -= 1
-        if j >= 0 and runs[j] & 255 == x ^ 1:
-            if runs[j] >> 9:  # two letters or more
-                runs[j] -= 256
+        if j >= 0 and runs[j] & low == x ^ 1:
+            if runs[j] >= 2 * one:  # two letters or more
+                runs[j] -= one
             else:
                 del runs[j]
-        elif at and runs[at - 1] & 255 == x:
-            runs[at - 1] += 256
+        elif at and runs[at - 1] & low == x:
+            runs[at - 1] += one
         else:
-            runs.insert(at, 256 | x)
-    return b"".join([_LETTERS[r & 255] * (r >> 8) for r in runs])
+            runs.insert(at, one | x)
+    out = []
+    for r in runs:
+        if r < 2 * one:  # most runs hold one letter
+            out.append(r & low)
+        else:
+            out += [r & low] * (r // one)
+    return type(data)(out)
 
 
 @functools.lru_cache(maxsize=64)

@@ -117,6 +117,13 @@ def brute_atoms(g: SimplicialGraph, budget: Optional[OracleBudget] = None):
     return sorted(tuple(sorted(a)) for a in atoms)
 
 
+def _byte_codes(g, letters) -> bytes:
+    if len(g.vertices) > 128:
+        raise DomainError("the closures hold one byte per letter, so at most "
+                          "128 generators; this graph has %d" % len(g.vertices))
+    return bytes(_encode(g, letters))
+
+
 def bfs_equal(w1: Word, w2: Word, budget: Optional[OracleBudget] = None) -> bool:
     """Equality by breadth-first closure under the two elementary moves
     (swap adjacent commuting letters, delete an adjacent inverse pair):
@@ -131,8 +138,8 @@ def bfs_equal(w1: Word, w2: Word, budget: Optional[OracleBudget] = None) -> bool
             dimension="max_word_length", consumed=combined,
             limit=2 * budget.max_word_length)
     g = w1.graph
-    return kernels.closure_equal(
-        _encode(g, w1.letters), _encode(g, w2.letters), g.masks, budget.max_states)
+    a, b = _byte_codes(g, w1.letters), _byte_codes(g, w2.letters)
+    return kernels.closure_equal(a, b, g.masks, budget.max_states)
 
 
 @functools.lru_cache(maxsize=32)
@@ -186,7 +193,7 @@ def commuting_words(g: SimplicialGraph, w: Word, max_len: int,
             dimension="max_word_length", consumed=max_len + len(w.letters),
             limit=budget.max_word_length)
     masks = g.masks
-    wc = _encode(g, w.letters)
+    wc = _byte_codes(g, w.letters)
     inside = {}
     out = []
     for u in _enumerated_ball(g, max_len, budget.max_states):

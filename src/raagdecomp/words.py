@@ -7,7 +7,7 @@ their normal forms coincide.
 
 Letter order is (generator name, sign) with the positive letter before the
 inverse, generators in sorted name order; all determinism downstream leans
-on that order. The kernels read letter codes, one byte each: 2i for the
+on that order. The kernels read letter codes, a tuple of ints: 2i for the
 i-th generator, 2i + 1 for its inverse. Words the engine builds carry
 their codes and decode their letters when read; others encode on first use.
 """
@@ -41,7 +41,7 @@ class _Spelling:
     letters = _Decoded()
 
     @cached_property
-    def _codes(self) -> bytes:
+    def _codes(self) -> Tuple[int, ...]:
         return _encode(self.graph, self.letters)
 
     def __str__(self) -> str:
@@ -87,7 +87,7 @@ class NormalForm(_Spelling):
         return len(self._codes if "_codes" in vars(self) else self.letters)
 
 
-def _built(cls, graph, codes: bytes):
+def _built(cls, graph, codes: Tuple[int, ...]):
     """`cls(graph, letters)` carrying the engine's own `codes`, unchecked;
     its letters are decoded from them on first read."""
     obj = object.__new__(cls)
@@ -102,19 +102,20 @@ _TOKEN = re.compile(r"([A-Za-z0-9_]+)(?:\^([+-]?\d+))?\Z")
 
 def _alphabet(graph: SimplicialGraph) -> _Alphabet:
     """The graph's one alphabet, built on first use: `code` maps the tokens
-    `v` and `v^-1` of the first 128 generators with token names to codes,
-    `letter` and `text` give each code's letter and token text."""
+    `v` and `v^-1` of the generators with token names to codes, `letter`
+    and `text` give each code's letter and token text."""
     if graph._alphabet is None:
         vs = graph.vertices
+        named = list(map(_NAME.match, vs))
         texts = tuple(t for v in vs for t in (v, v + "^-1"))
         graph._alphabet = _Alphabet(
-            {t: c for c, t in enumerate(texts[:256]) if _NAME.match(vs[c >> 1])},
+            {t: c for c, t in enumerate(texts) if named[c >> 1]},
             tuple((v, s) for v in vs for s in (1, -1)), texts)
     return graph._alphabet
 
 
-# Most letters a parsed word or a power may expand to. Each expanded
-# letter costs about 80 bytes, so the cap keeps a word under about 100 MB.
+# Most letters a parsed word or a power may expand to. Each expanded letter
+# costs about 88 bytes (8 for its code), so a word stays under about 100 MB.
 MAX_WORD_LETTERS = 1_000_000
 # Default budget of the root search: nodes of the linearization choice tree.
 MAX_LINEARIZATIONS = 100_000
@@ -126,8 +127,7 @@ def parse_word(graph: SimplicialGraph, text: str) -> Word:
     Tokens `v` and `v^-1` come from the graph's alphabet, others from the
     token pattern. Raises DomainError on the first malformed or unknown
     token, and when the word would expand to more than MAX_WORD_LETTERS
-    letters, before building any of them. Over a generator past the 128th
-    the word has no codes, and its first engine call raises DomainError.
+    letters, before building any of them.
     """
     tokens = text.split()
     codes = list(map(_alphabet(graph).code.get, tokens))
@@ -151,15 +151,11 @@ def parse_word(graph: SimplicialGraph, text: str) -> Word:
                 raise DomainError("word expands to more than %d letters"
                                   % MAX_WORD_LETTERS)
             codes += [c] * count
-    try:
-        data = bytes(codes)
-    except ValueError:  # a letter past the 128th generator has no code
-        return Word(graph, _decode(graph, codes))
-    return _built(Word, graph, data)
+    return _built(Word, graph, tuple(codes))
 
 
 def word_text(w) -> str:
-    if "_codes" in vars(w):  # else perhaps not encodable: print the letters
+    if "_codes" in vars(w):  # else a caller's letters, perhaps unknown ones
         return " ".join(map(_alphabet(w.graph).text.__getitem__, w._codes))
     return " ".join(n if s > 0 else n + "^-1" for n, s in w.letters)
 
@@ -169,23 +165,16 @@ def _same_graph(a, b) -> None:
         raise DomainError("words live over different graphs")
 
 
-def _encode(graph: SimplicialGraph, letters: Iterable[Letter]) -> bytes:
+def _encode(graph: SimplicialGraph, letters: Iterable[Letter]) -> Tuple[int, ...]:
     idx = graph._index
-    try:
-        return bytes(2 * idx[n] + (0 if s > 0 else 1) for n, s in letters)
-    except ValueError:
-        # a letter code is one byte, so generator indices stop at 127
-        raise DomainError(
-            "words may use only the first 128 generators in sorted order "
-            "(one-byte letter codes); this graph has %d"
-            % len(graph.vertices)) from None
+    return tuple(2 * idx[n] + (0 if s > 0 else 1) for n, s in letters)
 
 
 def _decode(graph: SimplicialGraph, codes) -> Tuple[Letter, ...]:
     return tuple(map(_alphabet(graph).letter.__getitem__, codes))
 
 
-def _canonical_codes(w) -> bytes:
+def _canonical_codes(w) -> Tuple[int, ...]:
     return kernels.canonicalize(w._codes, w.graph.masks)
 
 
@@ -221,7 +210,7 @@ def power(w: Word, k: int) -> Word:
     return _built(Word, w.graph, base._codes * abs(k))
 
 
-def _first_movable(codes: bytes, masks) -> dict:
+def _first_movable(codes, masks) -> dict:
     """Letter code -> first position that can be shuffled to the front."""
     full = (1 << len(masks)) - 1
     out = {}
@@ -249,7 +238,7 @@ def _unblocked(order, block, full) -> int:
     return out
 
 
-def _peel(codes: bytes, masks) -> Tuple[bytes, bytes]:
+def _peel(codes, masks):
     """Peel conjugating pairs off a geodesic spelling.
 
     Repeatedly takes the least letter x that can be shuffled to the front
@@ -276,7 +265,7 @@ def _peel(codes: bytes, masks) -> Tuple[bytes, bytes]:
     heads = sorted((pile[0], g) for g, pile in enumerate(piles) if pile)
     tails = sorted((-pile[-1], g) for g, pile in enumerate(piles) if pile)
     alive = bytearray(b"\x01") * len(codes)
-    conj = bytearray()
+    conj = []
     while True:
         both = _unblocked(heads, block, full) & _unblocked(tails, block, full)
         while both:
@@ -296,7 +285,7 @@ def _peel(codes: bytes, masks) -> Tuple[bytes, bytes]:
         if lo[g] <= hi[g]:
             insort(heads, (piles[g][lo[g]], g))
             insort(tails, (-piles[g][hi[g]], g))
-    return bytes(compress(codes, alive)), bytes(conj)
+    return tuple(compress(codes, alive)), tuple(conj)
 
 
 def cyclically_reduce(w: Word) -> Tuple[NormalForm, Word]:
@@ -319,7 +308,7 @@ def _divisors_descending(n: int):
     return [k for k in range(n, 1, -1) if n % k == 0]
 
 
-def _length_m_prefixes(codes: bytes, m: int, masks, cap: int):
+def _length_m_prefixes(codes, m: int, masks, cap: int):
     """Distinct length-m prefixes over all linearizations of a reduced word.
 
     The choice tree takes one front-movable letter off what remains at each
@@ -335,7 +324,7 @@ def _length_m_prefixes(codes: bytes, m: int, masks, cap: int):
             "linearization enumeration exceeded %d steps" % cap,
             dimension="max_linearizations", consumed=consumed, limit=cap)
 
-    # levels[d]: remainder at depth d -> its (letter, child remainder) pairs
+    # levels[d]: remainder at depth d -> its (letter slice, child) pairs
     levels = [{codes: ()}]
     seen = 1  # distinct remainders, each at least one node
     for _ in range(m):
@@ -344,7 +333,7 @@ def _length_m_prefixes(codes: bytes, m: int, masks, cap: int):
             kids = []
             for x, p in _first_movable(rest, masks).items():
                 child = rest[:p] + rest[p + 1:]
-                kids.append((x, child))
+                kids.append((rest[p:p + 1], child))
                 if child not in below:
                     below[child] = ()
                     seen += 1
@@ -358,9 +347,9 @@ def _length_m_prefixes(codes: bytes, m: int, masks, cap: int):
                  for rest, kids in level.items()}
     if nodes[codes] > cap:
         raise refuse(nodes[codes])
-    prefixes = dict.fromkeys(levels[-1], (b"",))
+    prefixes = dict.fromkeys(levels[-1], (codes[:0],))
     for level in reversed(levels[:-1]):
-        prefixes = {rest: {bytes((x,)) + p for x, c in kids for p in prefixes[c]}
+        prefixes = {rest: {x + p for x, c in kids for p in prefixes[c]}
                     for rest, kids in level.items()}
     return prefixes[codes]
 
@@ -387,13 +376,14 @@ def primitive_root(w, max_linearizations: int = MAX_LINEARIZATIONS) -> Tuple[Nor
     return _root(g, codes, max_linearizations)
 
 
-def _root(g: SimplicialGraph, codes: bytes, cap: int) -> Tuple[NormalForm, int]:
+def _root(g: SimplicialGraph, codes, cap: int) -> Tuple[NormalForm, int]:
     """`primitive_root` of the normal form `codes`, unchecked."""
     n = len(codes)
+    piece = bytes(codes) if len(g.masks) <= 128 else codes  # faster to enumerate
     for k in _divisors_descending(n):
-        for p in sorted(_length_m_prefixes(codes, n // k, g.masks, cap)):
-            if kernels.canonicalize(p * k, g.masks) == codes:
-                return _built(NormalForm, g, p), k
+        for p in sorted(_length_m_prefixes(piece, n // k, g.masks, cap)):
+            if kernels.canonicalize(p * k, g.masks) == piece:
+                return _built(NormalForm, g, tuple(p)), k
     return _built(NormalForm, g, codes), 1
 
 
@@ -431,7 +421,7 @@ class CentralizerDescriptor:
         masks = g.masks
         t = self.conjugator._codes
         shifted = kernels.canonicalize(
-            bytes(b ^ 1 for b in reversed(t)) + cand._codes + t, masks)
+            tuple(b ^ 1 for b in reversed(t)) + cand._codes + t, masks)
         allowed = set(self.link_part)
         for f in self.factors:
             allowed.update(f.support)
@@ -441,14 +431,14 @@ class CentralizerDescriptor:
         for f in self.factors:
             members = {idx[v] for v in f.support}
             coord = kernels.canonicalize(
-                bytes(b for b in shifted if (b >> 1) in members), masks)
+                tuple(b for b in shifted if (b >> 1) in members), masks)
             if not coord:
                 continue
             root = f.root._codes
             if len(coord) % len(root):
                 return False
             m = len(coord) // len(root)
-            inv = bytes(b ^ 1 for b in reversed(root))
+            inv = tuple(b ^ 1 for b in reversed(root))
             if coord != kernels.canonicalize(root * m, masks) and \
                coord != kernels.canonicalize(inv * m, masks):
                 return False
@@ -474,7 +464,7 @@ def centralizer_descriptor(w: Word, mode: str = "pro-p") -> CentralizerDescripto
     supp = {g.vertices[x >> 1] for x in set(codes)}
     factors = []
     for f in _join_masks(g.masks, _vertex_mask(g, supp)):
-        piece = bytes(x for x in codes if f >> (x >> 1) & 1)
+        piece = tuple(x for x in codes if f >> (x >> 1) & 1)
         root, exponent = _root(g, piece, MAX_LINEARIZATIONS)
         factors.append(CentralizerFactor(_names(g.vertices, f), root, exponent))
     return CentralizerDescriptor(g, mode, conj, tuple(factors), link(g, supp))

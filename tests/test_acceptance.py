@@ -208,7 +208,7 @@ def test_08_centralizer_ball():
         g = random_connected_graph(rng, rng.randrange(1, 6),
                                    rng.random() * 0.6)
         w = random_word(rng, g, rng.randrange(0, 5))
-        oracle = {_encode(g, u.letters)
+        oracle = {bytes(_encode(g, u.letters))
                   for u in commuting_words(g, w, 5, budget)}
         descriptor = centralizer_descriptor(w)
         described = {u for u in _enumerated_ball(g, 5, budget.max_states)

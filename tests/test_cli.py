@@ -1,6 +1,7 @@
 import io
 import json
 from pathlib import Path
+import time
 
 from hypothesis import example, given, settings, strategies as st
 import pytest
@@ -273,21 +274,40 @@ def test_lone_surrogate_name_is_an_input_error(argv):
         "which has no UTF-8 form\n"
 
 
-# letter codes take one byte, so a word may use only the first 128
-# generators; a bad token still wins over that, as parsing comes first
-WIDE = json.dumps({"vertices": ["v%03d" % i for i in range(130)],
+# a 200-vertex path: words over generators past the 128th get answers,
+# and a bad token is still refused
+WIDE = json.dumps({"vertices": ["v%03d" % i for i in range(200)],
                    "edges": [["v%03d" % i, "v%03d" % (i + 1)]
-                             for i in range(129)]})
+                             for i in range(199)]})
+WIDE_WORD = "v199 v150 v152 v128 v000 v150 v152 v128 v000 v199^-1"
 
 
 @pytest.mark.parametrize("word, err", [
     ("v128 zzz", "error: unknown generator 'zzz'\n"),
-    ("v128 v000", "error: words may use only the first 128 generators in "
-                  "sorted order (one-byte letter codes); this graph has 130\n"),
 ])
 def test_word_past_the_128th_generator(word, err):
     assert golden.cli_run(WIDE, ["element", "-", "--word", word]) == \
         (1, "", err)
+
+
+@pytest.mark.parametrize("op, answer", [
+    ("nf", {"normal_form": WIDE_WORD, "length": 10}),
+    ("support", {"support": ["v000", "v128", "v150", "v152", "v199"]}),
+    ("cyclic", {"reduced": "v150 v152 v128 v000 v150 v152 v128 v000",
+                "conjugator": "v199"}),
+    ("centralizer", {"mode": "pro-p", "conjugator": "v199",
+                     "factors": [{"support": ["v000", "v128", "v150", "v152"],
+                                  "root": "v150 v152 v128 v000",
+                                  "exponent": 2}],
+                     "link_part": [], "lower_bound": False}),
+])
+def test_word_past_the_128th_generator_is_answered(op, answer):
+    t0 = time.perf_counter()
+    code, out, err = golden.cli_run(
+        WIDE, ["element", "-", "--word", WIDE_WORD, "--op", op])
+    assert time.perf_counter() - t0 < 2
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"input": WIDE_WORD, **answer}
 
 
 def test_output_bytes_match_golden_digests():

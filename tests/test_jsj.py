@@ -151,6 +151,12 @@ class TestElementarySplittings:
         with pytest.raises(DomainError, match="clique"):
             amalgam_split(p4, ("a", "c"))
 
+    def test_amalgam_rejects_disconnected(self):
+        g = SimplicialGraph(("a", "b", "c"), [("a", "b")])
+        with pytest.raises(DomainError,
+                           match="amalgam_split requires a connected graph"):
+            amalgam_split(g, ("a",))
+
     def test_amalgam_rejects_non_separator(self, p4):
         with pytest.raises(DomainError, match="disconnect"):
             amalgam_split(p4, ("a",))
@@ -212,6 +218,15 @@ class TestValidate:
                 gog.edges)
             failed = all_passed(validate(bent))
             assert "embedding" in failed and "edge_groups" not in failed
+
+    def test_detects_edge_group_outside_the_graph(self, p4):
+        gog = relative_jsj(p4)
+        bent = GraphOfGroups(
+            p4, gog.nodes, (replace(gog.edges[0], group=("b", "zz")),)
+            + gog.edges[1:])
+        embedding = [c for c in validate(bent) if c.name == "embedding"]
+        assert [(c.passed, c.detail) for c in embedding] == \
+            [(False, "edge 0 group is not a vertex subset")]
 
     def test_detects_non_reduced_edge(self, p4):
         gog = _build(p4, [("a", "b"), ("a", "b", "c", "d")],

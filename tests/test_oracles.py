@@ -96,6 +96,20 @@ class TestBfsEqual:
         assert info.value.dimension == "max_states"
         assert (info.value.consumed, info.value.limit) == (3, 2)
 
+    def test_closures_take_at_most_128_generators(self):
+        # the closures hold one byte per letter; past 128 generators even
+        # a word over the first ones is refused, not a ValueError
+        for n, refused in ((128, False), (129, True), (200, True)):
+            g = SimplicialGraph(["v%03d" % i for i in range(n)], [])
+            a, b = parse_word(g, "v000 v001"), parse_word(g, "v001 v000")
+            if not refused:
+                assert not bfs_equal(a, b)
+                continue
+            with pytest.raises(DomainError, match="one byte per letter"):
+                bfs_equal(a, b)
+            with pytest.raises(DomainError, match="one byte per letter"):
+                commuting_words(g, a, 1, OracleBudget(max_vertices=n))
+
 
 class TestEnumeratedBall:
     def test_free_group_counts(self):

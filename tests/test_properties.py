@@ -113,7 +113,7 @@ def test_canonical_form_matches_closure_least_element(gw):
     g, w = gw
     data = _encode(g, w.letters)
     assert kernels.canonicalize(data, g.masks) == \
-        _pykernel.closure_canonical(data, g.masks, 1_000_000)
+        tuple(_pykernel.closure_canonical(data, g.masks, 1_000_000))
 
 
 @given(graph_words())
@@ -141,14 +141,14 @@ def _recanonicalizing_reduce(w):
     inverse is shufflable to the rear."""
     masks = w.graph.masks
     cur = kernels.canonicalize(_encode(w.graph, w.letters), masks)
-    conj = bytearray()
+    conj = []
     while True:
         front = _front_movable(cur, masks)
         rear = _front_movable(cur[::-1], masks)
         pairs = [(x, i, len(cur) - 1 - rear[x ^ 1])
                  for x, i in front.items() if x ^ 1 in rear]
         if not pairs:
-            return cur, bytes(conj)
+            return cur, tuple(conj)
         x, i, j = min(pairs)
         conj.append(x)
         cur = kernels.canonicalize(cur[:i] + cur[i + 1:j] + cur[j + 1:], masks)
@@ -171,6 +171,50 @@ def test_cyclic_reduction_matches_recanonicalizing_loop(gw):
     red, conj = cyclically_reduce(w)
     cur, peeled = _recanonicalizing_reduce(w)
     assert (_encode(g, red.letters), _encode(g, conj.letters)) == (cur, peeled)
+
+
+@st.composite
+def embedded_words(draw):
+    """A word over a small graph raised to a power from 1 to 3, and the
+    same word over a 200-vertex graph that holds the small graph at names
+    sorting past the 128th, in the same order, among edges not touching
+    it. Returns (renaming, small word, large word)."""
+    g, w = draw(graph_words(max_len=6))
+    w = power(w, draw(st.integers(min_value=1, max_value=3)))
+    big = ["v%03d" % i for i in range(200)]
+    spots = draw(st.lists(st.integers(min_value=128, max_value=199),
+                          min_size=len(g.vertices), max_size=len(g.vertices),
+                          unique=True))
+    rename = dict(zip(g.vertices, (big[i] for i in sorted(spots))))
+    rest = sorted(set(big) - set(rename.values()))
+    rng = draw(st.randoms(use_true_random=False))
+    edges = [(rename[u], rename[v]) for u, v in g.edges]
+    edges += [(u, v) for u, v in zip(rest, rest[1:]) if rng.random() < 0.5]
+    bg = SimplicialGraph(big, edges)
+    return rename, w, Word(bg, tuple((rename[n], s) for n, s in w.letters))
+
+
+@given(embedded_words())
+@settings(deadline=None)
+def test_words_past_the_128th_generator_match_after_renaming(case):
+    rename, w, bw = case
+
+    def renamed(x):
+        return re.sub("[a-e]", lambda m: rename[m.group()], str(x))
+
+    assert str(normal_form(bw)) == renamed(normal_form(w))
+    assert support(bw) == tuple(rename[v] for v in support(w))
+    assert tuple(map(str, cyclically_reduce(bw))) == \
+        tuple(map(renamed, cyclically_reduce(w)))
+    d, bd = centralizer_descriptor(w), centralizer_descriptor(bw)
+    assert str(bd.conjugator) == renamed(d.conjugator)
+    assert [(f.support, str(f.root), f.exponent) for f in bd.factors] == \
+        [(tuple(rename[v] for v in f.support), renamed(f.root), f.exponent)
+         for f in d.factors]
+    # nothing outside the small graph touches it, so a nontrivial word's
+    # link stays inside it; the trivial word's link is every vertex
+    assert bd.link_part == (tuple(rename[v] for v in d.link_part)
+                            if d.factors else bw.graph.vertices)
 
 
 @given(graph_words(max_n=4, max_len=5))
@@ -670,7 +714,7 @@ def test_closures_match_per_state_move_lists(gw, data, max_states):
     g, w = gw
     masks = g.masks
     letter = st.integers(min_value=0, max_value=2 * len(masks) - 1)
-    a = _encode(g, w.letters)
+    a = bytes(_encode(g, w.letters))
     if data.draw(st.booleans()):
         b = bytes(data.draw(st.lists(letter, max_size=7)))
     else:
@@ -933,7 +977,7 @@ def test_engine_words_carry_their_codes(gw, k):
 def _per_word_commuting(g, w, max_len, budget):
     """`commuting_words` deciding every ball word by its own closure."""
     masks = g.masks
-    wc = _encode(g, w.letters)
+    wc = bytes(_encode(g, w.letters))
     return [NormalForm(g, _decode(g, u))
             for u in _enumerated_ball(g, max_len, budget.max_states)
             if kernels.closure_equal(u + wc, wc + u, masks, budget.max_states)]

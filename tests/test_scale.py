@@ -290,17 +290,34 @@ def test_hub_word_primitive_root():
     assert (str(root), k) == ("a b", 25_000)
 
 
-def test_generic_word_refused_without_walking_paths():
-    # one sign per generator, so nothing cancels and the word is
-    # cyclically reduced; its 127-letter prefix tree has about 5.8e9 nodes
+def generic_word():
+    """254 letters over a 24-vertex sparse graph, one sign per generator,
+    so nothing cancels and the word is cyclically reduced; its 127-letter
+    prefix tree has about 5.8e9 nodes."""
     g = sparse_graph(24, 0)
     rng = random.Random(0)
     sign = {v: rng.choice((1, -1)) for v in g.vertices}
-    word = Word(g, tuple((v, sign[v])
-                         for v in (rng.choice(g.vertices) for _ in range(254))))
+    return Word(g, tuple((v, sign[v]) for v in
+                         (rng.choice(g.vertices) for _ in range(254))))
+
+
+def test_generic_word_refused_without_walking_paths():
+    word = generic_word()
     t0 = time.perf_counter()
     with pytest.raises(BudgetExceededError) as info:
         primitive_root(word, max_linearizations=10**7)
     _within("refusing a 254-letter generic word", t0, 2)
     assert info.value.limit == 10**7
     assert info.value.consumed > 10**7
+
+
+def test_generic_word_centralizer_exits_3():
+    # the command line's root search runs out of its default budget
+    word = generic_word()
+    g = word.graph
+    text = json.dumps({"vertices": g.vertices, "edges": sorted(g.edges)})
+    t0 = time.perf_counter()
+    assert golden.cli_run(text, ["element", "-", "--word", str(word),
+                                 "--op", "centralizer"]) == (3, "", (
+        "budget exceeded: linearization enumeration exceeded 100000 steps\n"))
+    _within("refusing a 254-letter generic word's centralizer", t0, 2)

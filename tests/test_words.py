@@ -46,6 +46,10 @@ class TestParsing:
         with pytest.raises(DomainError):
             Word(p4, (("a", 2),))
 
+    def test_unknown_letter_name(self, p4):
+        with pytest.raises(DomainError, match="unknown generator 'zzz'"):
+            Word(p4, (("zzz", 1),))
+
     def test_cross_graph_product_rejected(self, p4, k3):
         with pytest.raises(DomainError):
             w(p4, "a") * w(k3, "a")
@@ -80,13 +84,14 @@ class TestNormalForm:
         assert not equal(w(p4, "a c"), w(p4, "c a"))
         assert equal(w(p4, "c d c^-1 d^-1"), w(p4, ""))
 
-    def test_generator_beyond_one_byte_code_rejected(self):
+    def test_generator_past_the_128th_answered(self):
         g = SimplicialGraph(["v%03d" % i for i in range(130)], [])
         assert str(normal_form(w(g, "v127^-1 v000"))) == "v127^-1 v000"
-        with pytest.raises(DomainError, match="first 128 generators"):
-            normal_form(w(g, "v128"))
-        # such a word, and a caller's normal form on any names, still print
+        nf = normal_form(w(g, "v129 v128 v129^-1 v128^-1 v128 v000"))
+        assert str(nf) == "v129 v128 v129^-1 v000"
+        assert nf._codes == (258, 256, 259, 0)
         assert str(w(g, "v128 v000^-1")) == "v128 v000^-1"
+        # a caller's normal form on any names still prints
         assert str(NormalForm(g, (("v129", -1), ("zzz", 1)))) == "v129^-1 zzz"
         assert NormalForm(g, (("v129", -1), ("v000", 1))).length() == 2
 
