@@ -132,7 +132,7 @@ def parse_graph(text):
     stripped = text.lstrip()
     if not stripped:
         raise GraphParseError("empty input")
-    if stripped[0] == "{":
+    if stripped[0] in "{[":  # an array is JSON too, never DOT
         return _parse_json(text)
     return _parse_dot(text)
 

@@ -97,7 +97,7 @@ def _built(cls, graph, codes: Tuple[int, ...]):
 
 _Alphabet = namedtuple("_Alphabet", "code letter text")
 _NAME = re.compile(r"[A-Za-z0-9_]+\Z")
-_TOKEN = re.compile(r"([A-Za-z0-9_]+)(?:\^([+-]?\d+))?\Z")
+_TOKEN = re.compile(r"([A-Za-z0-9_]+)(?:\^([+-]?[0-9]+))?\Z")
 
 
 def _alphabet(graph: SimplicialGraph) -> _Alphabet:
@@ -239,7 +239,7 @@ def _unblocked(order, block, full) -> int:
 
 
 def _peel(codes, masks):
-    """Peel conjugating pairs off a geodesic spelling.
+    """Peel conjugating pairs off a shortlex normal form.
 
     Repeatedly takes the least letter x that can be shuffled to the front
     while x^-1 can be shuffled to the rear, and drops both. Returns
@@ -250,10 +250,23 @@ def _peel(codes, masks):
     Which letters a geodesic spelling can start or end with depends only
     on the element, so every pair can be peeled off this one spelling.
     Such a pair is the first and the last letter on one generator; the
-    positions of each generator's letters form a pile, peeling pops both
-    ends of one pile, and the generators are kept sorted by their first
-    and by their last remaining position. Each pair costs O(k) for k
-    generators, the whole peel O(|codes| + k * pairs).
+    positions of each generator's letters form a pile, and peeling pops
+    both ends of one pile. The generators are kept sorted by their last
+    remaining position (`tails`).
+
+    A walk from the front peels first. A suffix of a normal form is one,
+    and deleting a letter that can be shuffled to the rear leaves one, so
+    what the walk leaves is a normal form, and its first letter is the
+    least letter that can be shuffled to the front (a smaller one would
+    spell the element shortlex-earlier). So while that letter's generator
+    ends in its inverse and no generator with a later last letter blocks
+    that inverse, the pair is the one the general loop would peel, on the
+    least generator it tries. At the first letter that fails, the
+    generators are sorted by their first remaining position too (`heads`),
+    once, and the general loop takes over: it peels the least generator
+    whose first letter no earlier head blocks and whose last letter, its
+    inverse, no later tail blocks. Each pair costs O(k) for k generators,
+    the whole peel O(|codes| + k * pairs), plus one sort of k.
     """
     full = (1 << len(masks)) - 1
     block = [full & ~m for m in masks]  # non-neighbours and the generator
@@ -262,11 +275,32 @@ def _peel(codes, masks):
         piles[x >> 1].append(p)
     lo = [0] * len(piles)
     hi = [len(pile) - 1 for pile in piles]
-    heads = sorted((pile[0], g) for g, pile in enumerate(piles) if pile)
     tails = sorted((-pile[-1], g) for g, pile in enumerate(piles) if pile)
     alive = bytearray(b"\x01") * len(codes)
     conj = []
-    while True:
+    for first, x in enumerate(codes):  # the walk
+        if not alive[first]:  # peeled as a last letter
+            continue
+        g = x >> 1
+        last = piles[g][hi[g]]
+        if codes[last] != x ^ 1:
+            break
+        bg = block[g]
+        for j, (_, h) in enumerate(tails):  # g itself ends the scan
+            if h == g or bg >> h & 1:
+                break
+        if h != g:
+            break
+        conj.append(x)
+        alive[first] = alive[last] = 0
+        del tails[j]
+        lo[g] += 1
+        hi[g] -= 1
+        if lo[g] <= hi[g]:
+            insort(tails, (-piles[g][hi[g]], g), j)
+    heads = sorted((pile[lo[g]], g) for g, pile in enumerate(piles)
+                   if lo[g] <= hi[g])
+    while True:  # the general loop
         both = _unblocked(heads, block, full) & _unblocked(tails, block, full)
         while both:
             g = (both & -both).bit_length() - 1
@@ -294,8 +328,12 @@ def cyclically_reduce(w: Word) -> Tuple[NormalForm, Word]:
     Returns (reduced, conjugator) with reduced equal to
     conjugator^-1 * w * conjugator; the reduced form has minimal length and
     minimal support over the whole conjugacy class. The word is
-    canonicalized once, the conjugator peeled off that spelling in
-    O(k * |w|) for k generators, and what remains canonicalized once more.
+    canonicalized once, the conjugator peeled off that normal form, and
+    what remains canonicalized once more. The peel walks the normal form
+    from the front while its first letter and its generator's last letter
+    make a pair; a general loop, which also finds pairs deeper in, takes
+    over at the first letter that does not. It costs O(|w| + k * p) for k
+    generators and p peeled pairs.
     """
     masks = w.graph.masks
     rest, conj = _peel(_canonical_codes(w), masks)

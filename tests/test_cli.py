@@ -77,6 +77,11 @@ class TestAnalyze:
         assert code == 1
         assert "error" in err
 
+    def test_json_array(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("[1]"))
+        assert run(capsys, "analyze", "-") == (
+            1, "", "error: top-level JSON value must be an object\n")
+
     def test_non_string_edge_endpoint(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"vertices": ["a","b"], "edges": [[["a"],"b"]]}')
@@ -242,6 +247,11 @@ class TestElement:
         code, _, err = run(capsys, "element", p4_file, "--word", "a z")
         assert code == 1
         assert "'z'" in err
+
+    def test_exponent_of_unicode_digits(self, capsys, p4_file):
+        tok = "a^" + "\u0660" * 25 + "1"  # Arabic-Indic zeros, then 1
+        assert run(capsys, "element", p4_file, "--word", tok) == (
+            1, "", "error: malformed word token %r\n" % tok)
 
     def test_word_required(self, capsys, p4_file):
         code, _, _ = run(capsys, "element", p4_file)

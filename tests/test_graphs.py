@@ -156,6 +156,12 @@ class TestParsing:
         with pytest.raises(GraphParseError, match="two-element"):
             parse_graph('{"vertices": ["a","b"], "edges": [["a","b","c"]]}')
 
+    @pytest.mark.parametrize("text", ["[1]", " \n[]", '[{"vertices": []}]'])
+    def test_json_array_is_json_not_dot(self, text):
+        with pytest.raises(GraphParseError) as info:
+            parse_graph(text)
+        assert str(info.value) == "top-level JSON value must be an object"
+
     def test_dot_bad_header(self):
         with pytest.raises(GraphParseError, match="header"):
             parse_graph("digraph G { a -> b }")

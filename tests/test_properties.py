@@ -1,3 +1,4 @@
+from bisect import insort
 from collections import Counter, deque
 import copy
 from dataclasses import replace
@@ -171,6 +172,79 @@ def test_cyclic_reduction_matches_recanonicalizing_loop(gw):
     red, conj = cyclically_reduce(w)
     cur, peeled = _recanonicalizing_reduce(w)
     assert (_encode(g, red.letters), _encode(g, conj.letters)) == (cur, peeled)
+
+
+def _unblocked_generators(order, block):
+    """Generators in `order` that no earlier generator in it blocks."""
+    out = bad = 0
+    for _, g in order:
+        if not (bad >> g) & 1:
+            out |= 1 << g
+        bad |= block[g]
+    return out
+
+
+def _piles_and_heads_peel(codes, masks):
+    """`words._peel` without its walk from the front: every pair is found
+    by the loop over the generators sorted by their first and by their
+    last remaining position, kept sorted by insertion."""
+    full = (1 << len(masks)) - 1
+    block = [full & ~m for m in masks]
+    piles = [[] for _ in masks]
+    for p, x in enumerate(codes):
+        piles[x >> 1].append(p)
+    lo = [0] * len(piles)
+    hi = [len(pile) - 1 for pile in piles]
+    heads = sorted((pile[0], g) for g, pile in enumerate(piles) if pile)
+    tails = sorted((-pile[-1], g) for g, pile in enumerate(piles) if pile)
+    alive = [True] * len(codes)
+    conj = []
+    while True:
+        both = (_unblocked_generators(heads, block)
+                & _unblocked_generators(tails, block))
+        pairs = [g for g in range(len(masks)) if both >> g & 1
+                 and codes[piles[g][lo[g]]] == codes[piles[g][hi[g]]] ^ 1]
+        if not pairs:
+            return tuple(x for x, a in zip(codes, alive) if a), tuple(conj)
+        g = pairs[0]
+        first, last = piles[g][lo[g]], piles[g][hi[g]]
+        conj.append(codes[first])
+        alive[first] = alive[last] = False
+        heads.remove((first, g))
+        tails.remove((-last, g))
+        lo[g] += 1
+        hi[g] -= 1
+        if lo[g] <= hi[g]:
+            insort(heads, (piles[g][lo[g]], g))
+            insort(tails, (-piles[g][hi[g]], g))
+
+
+def _normal_forms(masks, max_len):
+    """Every normal form of at most `max_len` letters; dropping the last
+    letter of a normal form leaves one, so each extends a shorter one."""
+    level = [()]
+    for _ in range(max_len + 1):
+        yield from level
+        level = [nf + (x,) for nf in level for x in range(2 * len(masks))
+                 if kernels.canonicalize(nf + (x,), masks) == nf + (x,)]
+
+
+def test_peel_matches_piles_and_heads_loop_on_small_normal_forms():
+    seen = 0
+    for n in range(1, 4):
+        for g in exhaustive_graphs(n):
+            for codes in _normal_forms(g.masks, 5):
+                assert words._peel(codes, g.masks) == \
+                    _piles_and_heads_peel(codes, g.masks)
+                seen += 1
+    assert seen == 16_101
+
+
+@given(conjugated_words())
+def test_peel_matches_piles_and_heads_loop_on_conjugates(gw):
+    g, w = gw
+    codes = kernels.canonicalize(w._codes, g.masks)
+    assert words._peel(codes, g.masks) == _piles_and_heads_peel(codes, g.masks)
 
 
 @st.composite
@@ -845,7 +919,7 @@ def test_canonicalize_matches_two_phase_reference_on_runs(case):
         assert nf == _pykernel.closure_canonical(data, masks, 100_000)
 
 
-_TOKEN = re.compile(r"([A-Za-z0-9_]+)(?:\^([+-]?\d+))?\Z")
+_TOKEN = re.compile(r"([A-Za-z0-9_]+)(?:\^([+-]?[0-9]+))?\Z")
 
 
 def _per_token_parse(graph, text):

@@ -50,8 +50,10 @@ import pytest
 from raagdecomp import (BudgetExceededError, GraphOfGroups, SimplicialGraph,
                         Word, abelian_jsj, clique_separators,
                         cyclically_reduce, equal, join_factors, jsj_report,
-                        normal_form, primitive_root, relative_jsj, validate)
+                        normal_form, parse_word, primitive_root, relative_jsj,
+                        validate)
 
+from conftest import random_word
 import golden
 
 
@@ -243,6 +245,33 @@ def test_long_conjugate_cyclic_reduction():
     _within("cyclic reduction of a 40,002-letter conjugate", t0, 5)
     assert str(red) == "a b"
     assert equal(conj.inverse() * word * conj, red.word)
+
+
+def test_sparse_conjugate_cyclic_reduction():
+    g = sparse_graph(24, 1)
+    rng = random.Random(1)
+    u, core = (random_word(rng, g, n) for n in (49_998, 4))
+    word = u * core * u.inverse()
+    assert word.written_length() == 100_000
+    t0 = time.perf_counter()
+    red, conj = cyclically_reduce(word)
+    _within("cyclic reduction of a 100,000-letter sparse conjugate", t0, 2)
+    # cyclically reduced conjugates all have the least length in the class
+    assert red.length() == cyclically_reduce(core)[0].length()
+    assert equal(conj.inverse() * word * conj, red.word)
+
+
+def test_blocked_tail_cyclic_reduction():
+    # only the pair a ... a^-1 peels; a cyclic reduction that also takes
+    # the normal form of the inverse pays for (x y)^m crossing h^m there
+    m = 50_000
+    g = SimplicialGraph(("a", "h", "x", "y"), [("h", "x"), ("h", "y")])
+    word = parse_word(g, "a h^%d %s a^-1" % (m, "x y " * m))
+    t0 = time.perf_counter()
+    red, conj = cyclically_reduce(word)
+    _within("cyclic reduction of a h^m (x y)^m a^-1 at m = 50,000", t0, 2)
+    assert str(conj) == "a"
+    assert red._codes == (2,) * m + (4, 6) * m
 
 
 def hub_graph():

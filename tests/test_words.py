@@ -26,6 +26,14 @@ class TestParsing:
         with pytest.raises(DomainError, match="malformed"):
             w(p4, "a^")
 
+    @pytest.mark.parametrize("tok", ["a^\u0663", "a^\uff12",
+                                     "a^" + "\u0660" * 25 + "1"])
+    def test_exponent_digits_are_ascii(self, p4, tok):
+        # Arabic-Indic 3, fullwidth 2, and Arabic-Indic zeros before a 1
+        with pytest.raises(DomainError) as info:
+            w(p4, tok)
+        assert str(info.value) == "malformed word token %r" % tok
+
     def test_length_cap_checked_before_expanding(self, p4):
         half = MAX_WORD_LETTERS // 2
         with pytest.raises(DomainError, match="more than %d letters"
@@ -149,6 +157,15 @@ class TestCyclicReduction:
         red, conj = cyclically_reduce(w(p4, "a b a^-1"))
         assert str(red) == "b"
         assert conj.letters == ()
+
+    def test_pair_behind_the_first_letter(self):
+        # a comes first and pairs with nothing, so the walk from the front
+        # stops at once; b, behind it, still pairs with the last letter
+        g = SimplicialGraph(("a", "b", "c"), [("a", "b")])
+        word = w(g, "a b c b^-1")
+        assert str(normal_form(word)) == "a b c b^-1"
+        red, conj = cyclically_reduce(word)
+        assert (str(red), str(conj)) == ("a c", "b")
 
     def test_trivial_word(self, p4):
         red, conj = cyclically_reduce(w(p4, "a a^-1"))
