@@ -104,15 +104,15 @@ def closure_canonical(data, masks, max_states):
 
     Enumerates every word reachable by swaps and cancellations, so it is an
     independent (and much slower) route to the same canonical form that
-    `canonicalize` computes.
+    `canonicalize` computes. The queue is a list that the loop reads while
+    appending to it: breadth-first order, with nothing popped.
     """
     table = _move_table(tuple(masks))
     start = bytes(data)
     seen = {start}
-    queue = deque((start,))
+    queue = [start]
     best = start
-    while queue:
-        s = queue.popleft()
+    for s in queue:
         # the moves of s, left to right: one per adjacent pair at most
         for i in range(len(s) - 1):
             rep = table[s[i]][s[i + 1]]

@@ -10,6 +10,7 @@ All enumeration is guarded by an `OracleBudget`, and hitting a cap raises
 `BudgetExceededError` naming the offending dimension.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 import functools
 from itertools import combinations
@@ -143,48 +144,69 @@ def bfs_equal(w1: Word, w2: Word, budget: Optional[OracleBudget] = None) -> bool
 
 
 @functools.lru_cache(maxsize=32)
+def _balls(g: SimplicialGraph, max_states: int):
+    """The balls of `g` grown so far, indexed by radius; `_enumerated_ball`
+    appends to it. Cached per (graph, state cap)."""
+    return [(b"",)]
+
+
 def _enumerated_ball(g: SimplicialGraph, max_len: int, max_states: int):
-    """All canonical words of length <= max_len, found by extending canonical
-    words letter by letter and keeping a candidate exactly when the
-    breadth-first closure confirms it is its own shortlex-least geodesic.
-    Sorted shortlex. Cached per (graph, radius, state cap)."""
+    """All canonical words of length <= max_len, sorted shortlex.
+
+    Grown one radius at a time: the radius-r ball is the radius-(r - 1)
+    ball plus each of its longest words extended by one letter, a candidate
+    kept exactly when the breadth-first closure confirms it is its own
+    shortlex-least geodesic. The extensions of a sorted level, taken in
+    letter order, come out sorted. Each radius is grown once per (graph,
+    state cap) and reused by every larger one. A candidate's closure that
+    exceeds the cap raises, whatever order the candidates are tried in,
+    and leaves the radii already grown in place.
+    """
+    balls = _balls(g, max_states)
+    if max_len < len(balls):
+        return balls[max_len]
     masks = g.masks
-    letters = range(2 * len(g.vertices))
-    out = [b""]
-    stack = [b""]
-    while stack:
-        prefix = stack.pop()
-        if len(prefix) == max_len:
-            continue
-        last = prefix[-1] if prefix else None
-        for x in letters:
-            if last is not None:
-                if x == (last ^ 1):
-                    continue
-                lg, xg = last >> 1, x >> 1
-                if lg != xg and (masks[lg] >> xg) & 1 and last > x:
-                    continue
-            cand = prefix + bytes((x,))
-            if kernels.closure_canonical(cand, masks, max_states) != cand:
-                continue
-            out.append(cand)
-            stack.append(cand)
-    out.sort(key=lambda b: (len(b), b))
-    return tuple(out)
+    letters = [bytes((x,)) for x in range(2 * len(g.vertices))]
+    # what may follow the letter y in a canonical word: neither y's
+    # inverse nor a smaller letter that commutes with y
+    follow = [[x for x in letters if x[0] != y ^ 1
+               and not (x[0] < y and (masks[y >> 1] >> (x[0] >> 1)) & 1)]
+              for y in range(len(letters))]
+    while len(balls) <= max_len:
+        inner = balls[-1]
+        out = list(inner)
+        for prefix in inner[bisect_left(inner, len(balls) - 1, key=len):]:
+            for x in follow[prefix[-1]] if prefix else letters:
+                cand = prefix + x
+                if kernels.closure_canonical(cand, masks, max_states) == cand:
+                    out.append(cand)
+        balls.append(tuple(out))
+    return balls[max_len]
 
 
 def commuting_words(g: SimplicialGraph, w: Word, max_len: int,
                     budget: Optional[OracleBudget] = None) -> List[NormalForm]:
     """Every canonical word u with length <= max_len and u*w = w*u, sorted
-    shortlex.
+    shortlex. The radius `max_len` must be an int >= 0 (else DomainError,
+    before any budget check).
 
     The words commuting with w form a subgroup, so when one part of a split
     u = a*b commutes with w, u commutes exactly when the other part does;
     the closure oracle decides only the words with no such split (the empty
-    word and single letters among them). No production code is used."""
+    word and single letters among them). For the same reason u^-1 commutes
+    exactly when u does: when a closure finds that u does not, u^-1 is
+    marked as not commuting and gets no closure of its own. Its canonical
+    form is the closure-least spelling of u's reversed, inverted letters,
+    whose closure is u's with every word reversed and inverted; u's closure
+    fits inside that of u*w, which the call that said False walked in full
+    within the state cap, so this closure never exceeds it. A skipped
+    closure adds no refusal, though one may answer where the closure it
+    skips would have exceeded the cap. No production code is used."""
     budget = budget or OracleBudget()
     if w.graph != g:
         raise DomainError("word does not live over the given graph")
+    if not isinstance(max_len, int) or max_len < 0:
+        raise DomainError("radius must be an int >= 0, got %r" % (max_len,))
     _check_vertices(g, budget)
     if max_len + len(w.letters) > budget.max_word_length:
         raise BudgetExceededError(
@@ -193,20 +215,26 @@ def commuting_words(g: SimplicialGraph, w: Word, max_len: int,
             dimension="max_word_length", consumed=max_len + len(w.letters),
             limit=budget.max_word_length)
     masks = g.masks
+    cap = budget.max_states
     wc = _byte_codes(g, w.letters)
     inside = {}
     out = []
-    for u in _enumerated_ball(g, max_len, budget.max_states):
-        # the ball is factor-closed and shortlex sorted, so both parts of
-        # every split of u are already decided
-        for k in range(1, len(u)):
-            a, b = inside[u[:k]], inside[u[k:]]
-            if a or b:
-                hit = a and b
-                break
-        else:
-            hit = kernels.closure_equal(u + wc, wc + u, masks, budget.max_states)
-        inside[u] = hit
+    for u in _enumerated_ball(g, max_len, cap):
+        hit = inside.get(u)
+        if hit is None:
+            # the ball is factor-closed and shortlex sorted, so both parts
+            # of every split of u are already decided
+            for k in range(1, len(u)):
+                a, b = inside[u[:k]], inside[u[k:]]
+                if a or b:
+                    hit = a and b
+                    break
+            else:
+                hit = kernels.closure_equal(u + wc, wc + u, masks, cap)
+                if not hit:
+                    inv = bytes(x ^ 1 for x in reversed(u))
+                    inside[kernels.closure_canonical(inv, masks, cap)] = False
+            inside[u] = hit
         if hit:
             out.append(NormalForm(g, _decode(g, u)))
     return out

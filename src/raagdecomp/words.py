@@ -452,31 +452,41 @@ class CentralizerDescriptor:
     def lower_bound(self) -> bool:
         return self.mode == "pro-C"
 
-    def contains(self, cand: Word) -> bool:
-        """Membership in the described subgroup (integer exponents)."""
-        _same_graph(self, cand)
+    @cached_property
+    def _membership(self):
+        """What `contains` reads, computed on its first call: the
+        conjugator's codes and their inverse, the mask of the allowed
+        generators, and per factor its generator mask, root codes and
+        inverse root codes."""
         g = self.graph
-        masks = g.masks
         t = self.conjugator._codes
-        shifted = kernels.canonicalize(
-            tuple(b ^ 1 for b in reversed(t)) + cand._codes + t, masks)
-        allowed = set(self.link_part)
-        for f in self.factors:
-            allowed.update(f.support)
-        idx = g._index
-        if any(g.vertices[b >> 1] not in allowed for b in shifted):
+        factors = tuple((_vertex_mask(g, f.support), f.root._codes,
+                         tuple(b ^ 1 for b in reversed(f.root._codes)))
+                        for f in self.factors)
+        allowed = _vertex_mask(g, self.link_part)
+        for mask, _, _ in factors:
+            allowed |= mask
+        return t, tuple(b ^ 1 for b in reversed(t)), allowed, factors
+
+    def contains(self, cand: Word) -> bool:
+        """Membership in the described subgroup (integer exponents): cand,
+        conjugated back by the conjugator, uses only allowed generators,
+        and its letters on each factor spell a power of that factor's root.
+        """
+        _same_graph(self, cand)
+        masks = self.graph.masks
+        t, t_inv, allowed, factors = self._membership
+        shifted = kernels.canonicalize(t_inv + cand._codes + t, masks)
+        if any(not allowed >> (b >> 1) & 1 for b in shifted):
             return False
-        for f in self.factors:
-            members = {idx[v] for v in f.support}
+        for mask, root, inv in factors:
             coord = kernels.canonicalize(
-                tuple(b for b in shifted if (b >> 1) in members), masks)
+                tuple(b for b in shifted if mask >> (b >> 1) & 1), masks)
             if not coord:
                 continue
-            root = f.root._codes
             if len(coord) % len(root):
                 return False
             m = len(coord) // len(root)
-            inv = tuple(b ^ 1 for b in reversed(root))
             if coord != kernels.canonicalize(root * m, masks) and \
                coord != kernels.canonicalize(inv * m, masks):
                 return False

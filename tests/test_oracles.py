@@ -1,5 +1,10 @@
 import inspect
 from itertools import combinations
+import os
+from pathlib import Path
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -10,6 +15,13 @@ from raagdecomp import (BudgetExceededError, DomainError, OracleBudget,
                         exhaustive_graphs, is_connected, parse_word)
 from raagdecomp import kernels
 from raagdecomp.oracles import _enumerated_ball
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _path_of_five():
+    return SimplicialGraph(tuple("abcde"),
+                           [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")])
 
 
 class TestBudget:
@@ -158,6 +170,38 @@ class TestCommutingWords:
             commuting_words(p4, parse_word(p4, "a b c"), 4)
         assert info.value.dimension == "max_word_length"
 
+    def test_bad_radius_refused(self):
+        # -1 + |w| passes max_word_length, and a ball grown towards radius
+        # -1 or 1.5 never stops; so the calls run in a child process with
+        # 512 MB of address space and 5 s, which such a ball cannot outgrow
+        script = textwrap.dedent("""
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
+            from raagdecomp import (DomainError, SimplicialGraph,
+                                    commuting_words, parse_word)
+            g = SimplicialGraph(("a", "b"), [])
+            for radius in (-1, 1.5, "2", None):
+                try:
+                    commuting_words(g, parse_word(g, "a"), radius)
+                except DomainError as exc:
+                    print(exc)
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=5)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.splitlines() == [
+            "radius must be an int >= 0, got %s" % r
+            for r in ("-1", "1.5", "'2'", "None")]
+
+    def test_bad_radius_checked_before_the_budgets(self):
+        nine = SimplicialGraph(tuple("abcdefghi"), [])
+        with pytest.raises(DomainError, match="radius"):
+            commuting_words(nine, parse_word(nine, "a"), -1)
+        with pytest.raises(DomainError, match="radius"):
+            commuting_words(nine, parse_word(nine, "a b c d e f g"), -1.5)
+
     def test_closure_refusal_propagates(self):
         # the closure of a single letter against "a b c d a" on K4 needs a
         # fourth state; skipping closures must not swallow that refusal
@@ -170,9 +214,9 @@ class TestCommutingWords:
 
     def test_splits_decide_most_words(self, monkeypatch):
         # on the path a-b-c-d-e, most words of the radius-4 ball around c
-        # are settled by a split with a commuting part, not by a closure
-        p5 = SimplicialGraph(tuple("abcde"),
-                             [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")])
+        # are settled by a split with a commuting part or by an inverse
+        # already found not to commute, not by a closure
+        p5 = _path_of_five()
         calls = []
         closure_equal = kernels.closure_equal
 
@@ -184,6 +228,42 @@ class TestCommutingWords:
         commuting_words(p5, parse_word(p5, "c"), 4)
         ball = _enumerated_ball(p5, 4, OracleBudget().max_states)
         assert len(calls) <= len(ball) // 2
+        # splits alone leave 855 closures here; inverse pairs take 511
+        assert len(calls) <= 600
+
+    def test_inverse_pairs_take_one_closure(self, monkeypatch):
+        # a word found not to commute settles its inverse too, so no two
+        # words that a closure says do not commute are inverses
+        recorded = []
+        closure_equal = kernels.closure_equal
+
+        def recording(a, b, masks, max_states):
+            verdict = closure_equal(a, b, masks, max_states)
+            recorded.append((a, verdict))
+            return verdict
+
+        monkeypatch.setattr(kernels, "closure_equal", recording)
+        p5 = _path_of_five()
+        k4 = SimplicialGraph(tuple("abcd"), [("a", "b"), ("a", "c"),
+                                             ("b", "c"), ("c", "d")])
+        c5 = SimplicialGraph(tuple("abcde"), [("a", "b"), ("b", "c"),
+                                              ("c", "d"), ("d", "e"),
+                                              ("a", "e")])
+        settled = 0
+        for g, text, radius in ((p5, "c", 4), (p5, "a b^-1", 3),
+                                (k4, "a d", 3), (c5, "a c^-1", 3),
+                                (c5, "", 2)):
+            w = parse_word(g, text)
+            recorded.clear()
+            commuting_words(g, w, radius)
+            tail = len(w.letters)
+            apart = {a[:len(a) - tail] for a, verdict in recorded
+                     if not verdict}
+            for u in apart:
+                inverse = bytes(x ^ 1 for x in reversed(u))
+                assert kernels.canonicalize(inverse, g.masks) not in apart
+            settled += len(apart)
+        assert settled > 100
 
 
 class TestExhaustiveGraphs:

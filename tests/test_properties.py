@@ -1097,3 +1097,165 @@ def test_commuting_words_matches_per_word_loop():
         radius = rng.randrange(2, 5)
         assert commuting_words(g, w, radius, budget) == \
             _per_word_commuting(g, w, radius, budget)
+
+
+def _depth_first_ball(g, max_len, max_states):
+    """`_enumerated_ball` as a depth-first walk over canonical prefixes,
+    sorted at the end."""
+    masks = g.masks
+    letters = range(2 * len(g.vertices))
+    out = [b""]
+    stack = [b""]
+    while stack:
+        prefix = stack.pop()
+        if len(prefix) == max_len:
+            continue
+        last = prefix[-1] if prefix else None
+        for x in letters:
+            if last is not None:
+                if x == (last ^ 1):
+                    continue
+                lg, xg = last >> 1, x >> 1
+                if lg != xg and (masks[lg] >> xg) & 1 and last > x:
+                    continue
+            cand = prefix + bytes((x,))
+            if kernels.closure_canonical(cand, masks, max_states) != cand:
+                continue
+            out.append(cand)
+            stack.append(cand)
+    out.sort(key=lambda b: (len(b), b))
+    return tuple(out)
+
+
+def _ball_outcome(enumerate_ball, g, max_len, max_states):
+    try:
+        return enumerate_ball(g, max_len, max_states)
+    except BudgetExceededError as exc:
+        return "refused", exc.dimension, exc.consumed, exc.limit
+
+
+def test_ball_matches_depth_first_enumeration():
+    # the ball grown radius by radius holds the same words in the same
+    # order as the depth-first walk, and refuses under the same caps
+    for g in _small_connected_graphs():
+        for radius in range(4):
+            assert _enumerated_ball(g, radius, 10**6) == \
+                _depth_first_ball(g, radius, 10**6)
+        for cap in (1, 2, 3, 5):
+            assert _ball_outcome(_enumerated_ball, g, 3, cap) == \
+                _ball_outcome(_depth_first_ball, g, 3, cap)
+    rng = random.Random(0xBA11)
+    for _ in range(4):
+        g = random_connected_graph(rng, rng.randrange(5, 8),
+                                   0.2 + rng.random() * 0.4)
+        assert _enumerated_ball(g, 4, 10**6) == \
+            _depth_first_ball(g, 4, 10**6)
+        assert _ball_outcome(_enumerated_ball, g, 4, 4) == \
+            _ball_outcome(_depth_first_ball, g, 4, 4)
+
+
+def _commuting_outcome(find, g, w, radius, budget):
+    try:
+        return find(g, w, radius, budget)
+    except BudgetExceededError as exc:
+        return "refused", exc.dimension, exc.consumed, exc.limit
+
+
+def test_commuting_words_refuses_only_where_the_per_word_loop_does():
+    # skipped closures never add a refusal: under any state cap the ball
+    # either matches the per-word loop or both refuse alike. They can
+    # remove one: x y is w and x does not commute with it, so x^-1 needs
+    # no closure, where its own would need a third state
+    for g in _small_connected_graphs():
+        if len(g.vertices) > 3:
+            continue
+        letters = range(2 * len(g.vertices))
+        for n in range(3):
+            for codes in product(letters, repeat=n):
+                w = Word(g, _decode(g, codes))
+                for cap in (2, 3, 4, 6, 8):
+                    budget = OracleBudget(max_states=cap)
+                    got = _commuting_outcome(commuting_words, g, w, 2, budget)
+                    loop = _commuting_outcome(_per_word_commuting, g, w, 2,
+                                              budget)
+                    assert got == loop or got[0] != "refused" == loop[0]
+    free2 = SimplicialGraph(("x", "y"), [])
+    w = parse_word(free2, "x y")
+    budget = OracleBudget(max_states=2)
+    assert [str(u) for u in commuting_words(free2, w, 1, budget)] == [""]
+    assert _commuting_outcome(_per_word_commuting, free2, w, 1, budget) == \
+        ("refused", "max_states", 3, 2)
+
+
+def _name_set_contains(d, cand):
+    """`CentralizerDescriptor.contains` rebuilding its generator name sets
+    and inverse roots on every call."""
+    words._same_graph(d, cand)
+    g = d.graph
+    masks = g.masks
+    t = d.conjugator._codes
+    shifted = kernels.canonicalize(
+        tuple(b ^ 1 for b in reversed(t)) + cand._codes + t, masks)
+    allowed = set(d.link_part)
+    for f in d.factors:
+        allowed.update(f.support)
+    idx = g._index
+    if any(g.vertices[b >> 1] not in allowed for b in shifted):
+        return False
+    for f in d.factors:
+        members = {idx[v] for v in f.support}
+        coord = kernels.canonicalize(
+            tuple(b for b in shifted if (b >> 1) in members), masks)
+        if not coord:
+            continue
+        root = f.root._codes
+        if len(coord) % len(root):
+            return False
+        m = len(coord) // len(root)
+        inv = tuple(b ^ 1 for b in reversed(root))
+        if coord != kernels.canonicalize(root * m, masks) and \
+           coord != kernels.canonicalize(inv * m, masks):
+            return False
+    return True
+
+
+def _drawn_word(data, g, max_len):
+    return Word(g, tuple(data.draw(st.lists(
+        st.tuples(st.sampled_from(g.vertices), st.sampled_from((1, -1))),
+        max_size=max_len))))
+
+
+@given(graph_words(max_n=4, max_len=3), st.data())
+@settings(max_examples=200, deadline=None)
+def test_contains_matches_per_call_name_sets(gw, data):
+    # conjugated and trivial descriptors in both modes, against members
+    # built from their parts and against random words
+    g, c = gw
+    u = _drawn_word(data, g, 3)
+    mode = data.draw(st.sampled_from(("pro-p", "pro-C")))
+    d = centralizer_descriptor(u * c * u.inverse(), mode)
+    trivial = centralizer_descriptor(Word(g, ()), mode)
+    t = d.conjugator
+    parts = [power(f.root.word, data.draw(st.integers(-2, 2)))
+             for f in d.factors]
+    parts += [Word(g, ((v, data.draw(st.sampled_from((1, -1)))),))
+              for v in d.link_part]
+    member = t * Word(g, sum((p.letters for p in
+                              data.draw(st.permutations(parts))), ())) \
+        * t.inverse()
+    cands = [member, u * c * u.inverse()] + \
+        [_drawn_word(data, g, 6) for _ in range(3)]
+    for desc in (d, trivial):
+        for x in cands:
+            assert desc.contains(x) == _name_set_contains(desc, x)
+    assert d.contains(member)
+    # a replaced descriptor computes its own membership data
+    for other in (replace(d, conjugator=Word(g, ())),
+                  replace(d, factors=d.factors[1:]),
+                  replace(trivial, conjugator=u)):
+        assert "_membership" not in vars(other)
+        for x in cands:
+            assert other.contains(x) == _name_set_contains(other, x)
+    elsewhere = SimplicialGraph(("a", "z"), [])
+    with pytest.raises(DomainError):
+        d.contains(Word(elsewhere, (("z", 1),)))

@@ -1,9 +1,10 @@
 import pytest
 
-from raagdecomp import (BudgetExceededError, DomainError, NormalForm,
-                        SimplicialGraph, Word, centralizer_descriptor,
-                        cyclically_reduce, equal, normal_form, parse_word,
-                        power, primitive_root, retract, support, word_text)
+from raagdecomp import (BudgetExceededError, CentralizerDescriptor,
+                        DomainError, NormalForm, SimplicialGraph, Word,
+                        centralizer_descriptor, cyclically_reduce, equal,
+                        normal_form, parse_word, power, primitive_root,
+                        retract, support, word_text)
 from raagdecomp.words import MAX_WORD_LETTERS, _encode
 
 
@@ -278,6 +279,14 @@ class TestCentralizer:
         assert d.contains(parse_word(p4, "b a c"))
         assert not d.contains(parse_word(p4, "a c^2"))
         assert not d.contains(parse_word(p4, "a"))
+
+    def test_contains_refuses_names_off_the_graph(self, p4):
+        # a hand-built descriptor naming a non-vertex is refused, not read
+        # as a generator no word uses
+        d = CentralizerDescriptor(p4, "pro-p", parse_word(p4, ""), (),
+                                  ("a", "zz"))
+        with pytest.raises(DomainError, match="'zz'"):
+            d.contains(parse_word(p4, "a"))
 
     def test_long_primitive_word(self):
         # 2018 = 2 * 1009: the exponent-2 candidate walks 1009-letter
