@@ -76,10 +76,6 @@ def _read_text(path: str) -> str:
         raise GraphParseError("input is not UTF-8 text: %s" % exc) from None
 
 
-def _load_graph(path: str):
-    return parse_graph(_read_text(path))
-
-
 def _dump(obj, pad="\n") -> str:
     """The text of `json.dumps(obj, indent=2)` for the dict, list, str,
     int, bool and None values the commands emit; any other value, or a
@@ -118,7 +114,7 @@ def _emit(obj) -> None:
 
 
 def _cmd_analyze(args) -> int:
-    g = _load_graph(args.file)
+    g = parse_graph(_read_text(args.file))
     comps = connected_components(g)
     connected = len(comps) <= 1
     if connected:
@@ -154,7 +150,7 @@ def _check_objs(checks):
 
 
 def _cmd_jsj(args) -> int:
-    g = _load_graph(args.file)
+    g = parse_graph(_read_text(args.file))
     comps = connected_components(g)
     if len(comps) > 1:
         if args.format == "dot":
@@ -193,7 +189,7 @@ def _cmd_jsj(args) -> int:
 
 
 def _cmd_element(args) -> int:
-    g = _load_graph(args.file)
+    g = parse_graph(_read_text(args.file))
     w = parse_word(g, args.word)
     if args.op == "nf":
         nf = normal_form(w)

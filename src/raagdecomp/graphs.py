@@ -59,9 +59,7 @@ class SimplicialGraph:
             raise GraphValidationError("duplicate vertex: %s" % ", ".join(dup))
         self.vertices = tuple(sorted(vs))
         idx = self._index = {v: i for i, v in enumerate(self.vertices)}
-        masks = [0] * len(vs)
-        wide = len(vs) ** 2 > MAX_MASK_BITS  # else the masks cannot pass it
-        norm = set()
+        pairs = {}  # (i, j) with i < j -> the edge's names
         for e in edges:
             try:
                 u, v = e
@@ -75,22 +73,23 @@ class SimplicialGraph:
                 raise GraphValidationError("edge endpoint %r is not a declared vertex" % (v,))
             if i == j:
                 raise GraphValidationError("self-loop at vertex %r" % (u,))
-            norm.add((u, v) if i < j else (v, u))
-            if not wide:
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-        if wide:  # count the masks' bits, then build them
-            pairs = sorted((idx[u], idx[v]) for u, v in norm)  # i < j
-            top = {j: i for i, j in pairs}  # highest neighbour: the last
-            top.update(pairs)  # higher one in `pairs`, else the last lower
-            bits = sum(top.values()) + len(top)
+            if i < j:
+                pairs[i, j] = u, v
+            else:
+                pairs[j, i] = v, u
+        if len(vs) ** 2 > MAX_MASK_BITS:  # else the masks cannot pass it
+            top = [-1] * len(vs)  # highest neighbour of each vertex
+            for i, j in pairs:
+                top[i], top[j] = max(top[i], j), max(top[j], i)
+            bits = sum(top) + len(top)
             if bits > MAX_MASK_BITS:
                 raise DomainError("adjacency masks would take %d bits, more "
                                   "than %d" % (bits, MAX_MASK_BITS))
-            for i, j in pairs:
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-        self.edges = frozenset(norm)
+        masks = [0] * len(vs)
+        for i, j in pairs:
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+        self.edges = frozenset(pairs.values())
         self.masks = tuple(masks)
         self._alphabet = None
 

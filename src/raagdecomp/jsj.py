@@ -177,9 +177,9 @@ def _split_tree(g):
     edges: list = []
     used: list = []
     # a piece is (vertices, first separator to try, the group offsets of its
-    # split); the split itself, (separator, None, offsets), is taken after
-    # all its pieces, when it joins them
-    stack = [(_full_mask(g), 0, None)]
+    # split, unread for the whole graph); the split itself, (separator,
+    # None, offsets), is taken after all its pieces, when it joins them
+    stack = [(_full_mask(g), 0, [])]
     while stack:
         part, first, offsets = stack.pop()
         if first is None:
@@ -192,8 +192,7 @@ def _split_tree(g):
                                             offsets[1:] + [len(groups)])]
             edges.extend((a, b, k, None) for a, b in zip(attach, attach[1:]))
             continue
-        if offsets is not None:
-            offsets.append(len(groups))
+        offsets.append(len(groups))
         found = _first_split(masks, part, separators, first)
         if found is None:
             members = _names(range(len(vs)), part)
@@ -531,7 +530,7 @@ def validate(gog: GraphOfGroups, abelian: bool = False) -> List[CheckResult]:
         return ""
 
     def edge_groups():
-        if len(base.vertices) == 1 or not gog.edges or _certified(gog):
+        if len(base.vertices) == 1 or _certified(gog):
             return ""
         for e in gog.edges:
             if not is_clique(base, e.group):
@@ -707,7 +706,6 @@ def jsj_report(g: SimplicialGraph) -> JsjReport:
     """Both decompositions plus their validation; raises when any check
     fails, so a returned report is always internally consistent."""
     groups, edges, used = _split_tree(g)
-    separators = tuple(dict.fromkeys(used))
     hanging = hanging_vertices(g)
     rel = _build(g, groups, edges)
     abe = _abelian_gog(g, groups, edges, hanging)
@@ -718,4 +716,4 @@ def jsj_report(g: SimplicialGraph) -> JsjReport:
     if bad:
         raise InvariantViolationError(
             "validation failed: " + "; ".join("%s (%s)" % (c.name, c.detail) for c in bad))
-    return JsjReport(g, rel, abe, hanging, separators, checks)
+    return JsjReport(g, rel, abe, hanging, tuple(used), checks)

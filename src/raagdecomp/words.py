@@ -117,7 +117,7 @@ def _alphabet(graph: SimplicialGraph) -> _Alphabet:
 # Most letters a parsed word or a power may expand to. Each expanded letter
 # costs about 88 bytes (8 for its code), so a word stays under about 100 MB.
 MAX_WORD_LETTERS = 1_000_000
-# Default budget of the root search: nodes of the linearization choice tree.
+# Budget of the root search: nodes of the linearization choice tree.
 MAX_LINEARIZATIONS = 100_000
 
 
@@ -203,11 +203,11 @@ def retract(w: Word, s) -> Word:
 
 def power(w: Word, k: int) -> Word:
     """w^k, refused above MAX_WORD_LETTERS letters before building any."""
-    if len(w.letters) * abs(k) > MAX_WORD_LETTERS:
+    codes = w._codes if k >= 0 else tuple(x ^ 1 for x in reversed(w._codes))
+    if len(codes) * abs(k) > MAX_WORD_LETTERS:
         raise DomainError("word expands to more than %d letters"
                           % MAX_WORD_LETTERS)
-    base = w if k >= 0 else w.inverse()
-    return _built(Word, w.graph, base._codes * abs(k))
+    return _built(Word, w.graph, codes * abs(k))
 
 
 def _first_movable(codes, masks) -> dict:
@@ -261,12 +261,17 @@ def _peel(codes, masks):
     spell the element shortlex-earlier). So while that letter's generator
     ends in its inverse and no generator with a later last letter blocks
     that inverse, the pair is the one the general loop would peel, on the
-    least generator it tries. At the first letter that fails, the
-    generators are sorted by their first remaining position too (`heads`),
-    once, and the general loop takes over: it peels the least generator
-    whose first letter no earlier head blocks and whose last letter, its
-    inverse, no later tail blocks. Each pair costs O(k) for k generators,
-    the whole peel O(|codes| + k * pairs), plus one sort of k.
+    least generator it tries. The walk never meets a letter peeled as a
+    last letter: were d the first, paired with an earlier x, the letters
+    between them were all peeled as first letters, and one, y, does not
+    commute with x (the spelling is geodesic); y's last letter lies before
+    d, or it would have blocked x^-1, so the walk met it first. At the
+    first letter that fails, the generators are sorted by their first
+    remaining position too (`heads`), once, and the general loop takes
+    over: it peels the least generator whose first letter no earlier head
+    blocks and whose last letter, its inverse, no later tail blocks. Each
+    pair costs O(k) for k generators, the whole peel O(|codes| + k * pairs),
+    plus one sort of k.
     """
     full = (1 << len(masks)) - 1
     block = [full & ~m for m in masks]  # non-neighbours and the generator
@@ -279,8 +284,6 @@ def _peel(codes, masks):
     alive = bytearray(b"\x01") * len(codes)
     conj = []
     for first, x in enumerate(codes):  # the walk
-        if not alive[first]:  # peeled as a last letter
-            continue
         g = x >> 1
         last = piles[g][hi[g]]
         if codes[last] != x ^ 1:
@@ -346,17 +349,19 @@ def _divisors_descending(n: int):
     return [k for k in range(n, 1, -1) if n % k == 0]
 
 
-def _length_m_prefixes(codes, m: int, masks, cap: int):
+def _length_m_prefixes(codes, m: int, masks):
     """Distinct length-m prefixes over all linearizations of a reduced word.
 
     The choice tree takes one front-movable letter off what remains at each
-    node, down to depth m. More than `cap` nodes raises BudgetExceededError
-    before any prefix is listed. A subtree depends only on the letters that
-    remain, and one remainder is reached along many paths, so the tree is
-    walked once per distinct remainder, level by level: its nodes are
-    counted bottom-up, then its prefixes collected the same way. At most
-    `cap` remainders are held, since each is a node of its own.
+    node, down to depth m. More than MAX_LINEARIZATIONS nodes raise
+    BudgetExceededError before any prefix is listed. A subtree depends only
+    on the letters that remain, and one remainder is reached along many
+    paths, so the tree is walked once per distinct remainder, level by
+    level: its nodes are counted bottom-up, then its prefixes collected the
+    same way. At most that many remainders are held, each a node.
     """
+    cap = MAX_LINEARIZATIONS
+
     def refuse(consumed):
         return BudgetExceededError(
             "linearization enumeration exceeded %d steps" % cap,
@@ -392,14 +397,15 @@ def _length_m_prefixes(codes, m: int, masks, cap: int):
     return prefixes[codes]
 
 
-def primitive_root(w, max_linearizations: int = MAX_LINEARIZATIONS) -> Tuple[NormalForm, int]:
+def primitive_root(w) -> Tuple[NormalForm, int]:
     """Largest k with w = root^k, for a cyclically reduced w whose support
     does not split as a join.
 
     Tries divisor exponents of the normal-form length from largest to
     smallest; for each, tests every distinct linearization prefix of the
     matching length. The first hit is the primitive root (roots are unique
-    here, so the exponent found is maximal).
+    here, so the exponent found is maximal). More than MAX_LINEARIZATIONS
+    nodes in one choice tree raise BudgetExceededError.
     """
     g = w.graph
     masks = g.masks
@@ -411,15 +417,15 @@ def primitive_root(w, max_linearizations: int = MAX_LINEARIZATIONS) -> Tuple[Nor
     supp = _vertex_mask(g, {g.vertices[x >> 1] for x in set(codes)})
     if len(_join_masks(masks, supp)) > 1:
         raise DomainError("support splits as a join; factor the word first")
-    return _root(g, codes, max_linearizations)
+    return _root(g, codes)
 
 
-def _root(g: SimplicialGraph, codes, cap: int) -> Tuple[NormalForm, int]:
+def _root(g: SimplicialGraph, codes) -> Tuple[NormalForm, int]:
     """`primitive_root` of the normal form `codes`, unchecked."""
     n = len(codes)
     piece = bytes(codes) if len(g.masks) <= 128 else codes  # faster to enumerate
     for k in _divisors_descending(n):
-        for p in sorted(_length_m_prefixes(piece, n // k, g.masks, cap)):
+        for p in sorted(_length_m_prefixes(piece, n // k, g.masks)):
             if kernels.canonicalize(p * k, g.masks) == piece:
                 return _built(NormalForm, g, tuple(p)), k
     return _built(NormalForm, g, codes), 1
@@ -513,6 +519,6 @@ def centralizer_descriptor(w: Word, mode: str = "pro-p") -> CentralizerDescripto
     factors = []
     for f in _join_masks(g.masks, _vertex_mask(g, supp)):
         piece = tuple(x for x in codes if f >> (x >> 1) & 1)
-        root, exponent = _root(g, piece, MAX_LINEARIZATIONS)
+        root, exponent = _root(g, piece)
         factors.append(CentralizerFactor(_names(g.vertices, f), root, exponent))
     return CentralizerDescriptor(g, mode, conj, tuple(factors), link(g, supp))

@@ -7,7 +7,9 @@ from raagdecomp import (DomainError, GogEdge, GogNode, GraphOfGroups,
                         abelian_jsj, amalgam_split, gog_to_dot,
                         gog_to_json_obj, hnn_split, jsj_report, parse_graph,
                         reduce, relative_jsj, star_amalgam_split, validate)
-from raagdecomp.jsj import _attach_index, _build
+from raagdecomp.jsj import _attach_index, _build, _split_tree
+
+import golden
 
 
 def complete_graph(n):
@@ -328,6 +330,19 @@ class TestAttachIndex:
                     r"no subtree node group properly contains the "
                     r"separator \['b'\]")):
                 self.attach(groups, bits, start, 2)
+
+
+class TestSplitTree:
+    def test_no_separator_splits_twice(self):
+        # jsj_report's separators_used is the split tree's list as it
+        # stands; the golden corpus is every connected graph of at most 6
+        # vertices, then 300 seeded ones of 7-12
+        count = 0
+        for _, g in golden.corpus():
+            used = _split_tree(g)[2]
+            assert len(set(used)) == len(used), (g.vertices, sorted(g.edges))
+            count += 1
+        assert count == 1 + 1 + 4 + 38 + 728 + 26704 + 300
 
 
 class TestSerialization:

@@ -51,7 +51,7 @@ from raagdecomp import (BudgetExceededError, GraphOfGroups, SimplicialGraph,
                         Word, abelian_jsj, clique_separators,
                         cyclically_reduce, equal, join_factors, jsj_report,
                         normal_form, parse_word, primitive_root, relative_jsj,
-                        validate)
+                        validate, words)
 
 from conftest import random_word
 import golden
@@ -330,11 +330,12 @@ def generic_word():
                          (rng.choice(g.vertices) for _ in range(254))))
 
 
-def test_generic_word_refused_without_walking_paths():
+def test_generic_word_refused_without_walking_paths(monkeypatch):
     word = generic_word()
+    monkeypatch.setattr(words, "MAX_LINEARIZATIONS", 10**7)
     t0 = time.perf_counter()
     with pytest.raises(BudgetExceededError) as info:
-        primitive_root(word, max_linearizations=10**7)
+        primitive_root(word)
     _within("refusing a 254-letter generic word", t0, 2)
     assert info.value.limit == 10**7
     assert info.value.consumed > 10**7

@@ -4,7 +4,7 @@ from raagdecomp import (BudgetExceededError, CentralizerDescriptor,
                         DomainError, NormalForm, SimplicialGraph, Word,
                         centralizer_descriptor, cyclically_reduce, equal,
                         normal_form, parse_word, power, primitive_root,
-                        retract, support, word_text)
+                        retract, support, word_text, words)
 from raagdecomp.words import MAX_WORD_LETTERS, _encode
 
 
@@ -129,6 +129,19 @@ class TestSupportAndRetract:
         assert equal(power(w(p4, "a c"), -1), w(p4, "c^-1 a^-1"))
         assert equal(power(w(p4, "a c"), 0), w(p4, ""))
 
+    @pytest.mark.parametrize("k, text", [
+        (3, "a b c^-1 a b c^-1 a b c^-1"),
+        (-3, "c b^-1 a^-1 c b^-1 a^-1 c b^-1 a^-1")])
+    def test_power_decodes_no_letters(self, p4, monkeypatch, k, text):
+        calls = []
+        decode = words._decode
+        monkeypatch.setattr(words, "_decode", lambda g, codes:
+                            calls.append(codes) or decode(g, codes))
+        p = power(w(p4, "a b c^-1"), k)
+        assert p._codes == w(p4, text)._codes
+        assert calls == []
+        assert p.letters == w(p4, text).letters
+
     def test_power_over_length_cap(self, p4):
         # 1,000,002 letters: refused before any of them is built
         k = MAX_WORD_LETTERS // 2 + 1
@@ -199,13 +212,14 @@ class TestPrimitiveRoot:
         with pytest.raises(DomainError, match="join"):
             primitive_root(w(p4, "a b"))
 
-    def test_budget(self, p4):
+    def test_budget(self, p4, monkeypatch):
+        monkeypatch.setattr(words, "MAX_LINEARIZATIONS", 2)
         with pytest.raises(BudgetExceededError) as info:
-            primitive_root(w(p4, "a c a c"), max_linearizations=2)
+            primitive_root(w(p4, "a c a c"))
         assert info.value.dimension == "max_linearizations"
         assert (info.value.consumed, info.value.limit) == (3, 2)
 
-    def test_budget_boundary_is_the_choice_tree_size(self, p4):
+    def test_budget_boundary_is_the_choice_tree_size(self, p4, monkeypatch):
         # a primitive word tries every divisor exponent; the budget caps the
         # largest choice tree among them, counted here path by path
         word = w(p4, "a b c b d c a d b c d c")
@@ -214,10 +228,12 @@ class TestPrimitiveRoot:
         sizes = [_choice_tree_size(codes, n // k, p4.masks)
                  for k in range(n, 1, -1) if n % k == 0]
         assert sizes == [3, 7, 14, 27, 65]
-        root, k = primitive_root(word, max_linearizations=65)
+        monkeypatch.setattr(words, "MAX_LINEARIZATIONS", 65)
+        root, k = primitive_root(word)
         assert (str(root), k) == ("a b b c c d a c c d b d", 1)
+        monkeypatch.setattr(words, "MAX_LINEARIZATIONS", 64)
         with pytest.raises(BudgetExceededError) as info:
-            primitive_root(word, max_linearizations=64)
+            primitive_root(word)
         assert str(info.value) == "linearization enumeration exceeded 64 steps"
         assert (info.value.consumed, info.value.limit) == (65, 64)
 
