@@ -19,6 +19,7 @@ bitmasks, bit i standing for the i-th vertex in that order
 [('a', 'b', 'c', 'd')]
 """
 
+import functools
 import json
 import re
 
@@ -38,13 +39,15 @@ class SimplicialGraph:
     Vertices are kept sorted; each edge is stored once as an ordered pair.
     `masks[i]` is the bitmask of the neighbours of the i-th vertex, bit j
     standing for the j-th: the graph's one adjacency, built with it.
-    `_alphabet` caches the word engine's letters (`words._alphabet`).
+    `_memo` keeps, unmutated, what `_memoized` functions return for this
+    object while it lives: the word alphabet, MCS-M+ per vertex mask, the
+    hanging vertices, the splitting tree; equal graphs built apart share none.
     Construction validates simplicity (no self-loops, no duplicate vertices,
     edge endpoints declared), that every name has a UTF-8 form, and that
     the masks fit in MAX_MASK_BITS bits, counted first (else DomainError).
     """
 
-    __slots__ = ("vertices", "edges", "masks", "_index", "_alphabet")
+    __slots__ = ("vertices", "edges", "masks", "_index", "_memo")
 
     def __init__(self, vertices, edges):
         vs = list(vertices)
@@ -91,7 +94,7 @@ class SimplicialGraph:
             masks[j] |= 1 << i
         self.edges = frozenset(pairs.values())
         self.masks = tuple(masks)
-        self._alphabet = None
+        self._memo = {}
 
     def neighbors(self, v):
         return frozenset(_names(self.vertices, self.masks[self.index(v)]))
@@ -117,6 +120,17 @@ class SimplicialGraph:
     def __repr__(self):
         return "SimplicialGraph(%d vertices, %d edges)" % (
             len(self.vertices), len(self.edges))
+
+
+def _memoized(compute):
+    """Run `compute(g, *args)` once per graph object and arguments."""
+    @functools.wraps(compute)
+    def once(g, *args):
+        key = (compute.__name__, *args)
+        if key not in g._memo:
+            g._memo[key] = compute(g, *args)
+        return g._memo[key]
+    return once
 
 
 def parse_graph(text):
@@ -443,7 +457,8 @@ def is_complete(g):
     return _clique_mask(g.masks, _full_mask(g))
 
 
-def _mcs_m(masks, allowed):
+@_memoized
+def _mcs_m(g, allowed):
     """Minimal separators of a minimal triangulation of the subgraph on
     `allowed`, by MCS-M+.
 
@@ -457,8 +472,8 @@ def _mcs_m(masks, allowed):
     generator when its weight is at most that of the vertex numbered just
     before it; the first vertex never is one. The minimal separators of H
     are the sets of H-neighbours numbered before the generators. Returns
-    those sets as bitmasks, one per generator, bits standing for vertex
-    indices as in `masks`.
+    those sets as a tuple of bitmasks, one per generator, bits standing for
+    vertex indices as in `g.masks`.
 
     Weights are kept only as level masks: level[w] holds the unnumbered
     vertices of weight w. For each z one search grows over the thresholds
@@ -470,6 +485,7 @@ def _mcs_m(masks, allowed):
     level. Numbering z costs a few mask operations per threshold and per
     reached vertex, whose mask is OR-ed in once.
     """
+    masks = g.masks
     level = [allowed]
     top = 0  # the largest weight of an unnumbered vertex; 0 once none is left
     later = [0] * allowed.bit_length()
@@ -517,7 +533,7 @@ def _mcs_m(masks, allowed):
                     up ^= 1 << i
         if raised[top]:
             top += 1
-    return [later[z] for z in generators]
+    return tuple(later[z] for z in generators)
 
 
 def _clique_minimal_separators(g):
@@ -529,7 +545,7 @@ def _clique_minimal_separators(g):
     needed: `_mcs_m` lists the minimal separators of its triangulation.
     """
     masks = g.masks
-    found = {s for s in _mcs_m(masks, _full_mask(g)) if _clique_mask(masks, s)}
+    found = {s for s in _mcs_m(g, _full_mask(g)) if _clique_mask(masks, s)}
     return sorted(((_names(g.vertices, s), s) for s in found),
                   key=lambda p: (len(p[0]), p[0]))
 
@@ -569,6 +585,7 @@ def minimum_clique_separator(g):
     return seps[0] if seps else None
 
 
+@_memoized
 def hanging_vertices(g):
     """Vertices whose star is a clique while no neighbor's star is one.
 

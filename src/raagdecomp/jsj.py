@@ -17,8 +17,8 @@ from typing import List, Optional, Tuple
 from .errors import DomainError, InvariantViolationError, RaagError
 from .graphs import (SimplicialGraph, _clique_mask,
                      _clique_minimal_separators, _component_masks,
-                     _dot_escape, _full_mask, _mcs_m, _names, _splits,
-                     _vertex_mask, hanging_vertices, is_clique,
+                     _dot_escape, _full_mask, _mcs_m, _memoized, _names,
+                     _splits, _vertex_mask, hanging_vertices, is_clique,
                      is_connected, link, star)
 
 
@@ -143,14 +143,15 @@ def _attach_index(groups, bits, held, start, end, k, kmask):
     return best
 
 
+@_memoized
 def _split_tree(g):
     """Iterated splitting of a connected graph along clique separators;
     a disconnected graph raises DomainError.
 
-    Returns (groups, edges, used): the node groups, one per leaf of the
-    splitting tree from left to right, the amalgam edges between them (by
-    group index) and the separators in the order their pieces split. The
-    groups and edges are the relative decomposition as they stand.
+    Returns tuples (groups, edges, used): the node groups, one per leaf of
+    the splitting tree from left to right, the amalgam edges between them
+    (by group index) and the separators in the order their pieces split.
+    The groups and edges are the relative decomposition as they stand.
 
     A piece splits along the least clique separator of the full subgraph
     on it. The clique minimal separators of `g` include those of every
@@ -208,7 +209,7 @@ def _split_tree(g):
         stack.append(((k, kmask), None, mine))
         for comp in reversed(comps):
             stack.append((kmask | comp, pos + 1, mine))
-    return groups, edges, used
+    return tuple(groups), tuple(edges), tuple(used)
 
 
 def _first_split(masks, piece, separators, first):
@@ -339,23 +340,11 @@ def abelian_jsj(g: SimplicialGraph) -> GraphOfGroups:
     whose stable letter is the vertex. Complete and separator-free graphs
     decompose trivially.
     """
-    groups, edges, _ = _split_tree(g)
-    # one group of two or more vertices holds no hanging vertex, and a
-    # complete graph is spared the scan for them
-    if len(groups) == 1 and len(g.vertices) > 1:
-        return _build(g, groups, edges)
-    return _abelian_gog(g, groups, edges, hanging_vertices(g))
-
-
-def _abelian_gog(g, groups, edges, hanging):
-    """The relative decomposition's groups and edges with each vertex of
-    `hanging` turned into a loop, contracted as `reduce` does and built
-    once."""
-    groups, edges = list(groups), list(edges)  # jsj_report shares them
+    groups, edges = map(list, _split_tree(g)[:2])  # copies of the memo's
     nodes_of = {}
     for i, grp in enumerate(groups):
         nodes_of.setdefault(grp, []).append(i)
-    for v in hanging:
+    for v in hanging_vertices(g):
         sv = star(g, v)
         hits = nodes_of.pop(sv, [])
         if len(hits) != 1:
@@ -364,7 +353,6 @@ def _abelian_gog(g, groups, edges, hanging):
                 % (list(sv), len(hits)))
         i = hits[0]
         groups[i] = link(g, (v,))
-        nodes_of.setdefault(groups[i], []).append(i)
         edges.append((i, i, groups[i], v))
     return _build(g, *_contract(dict(enumerate(groups)),
                                 dict(enumerate(_ordered_edges(edges)))))
@@ -455,7 +443,7 @@ class CheckResult:
 def _check(name, results, fn):
     try:
         detail = fn()
-    except (RaagError, KeyError, IndexError, TypeError) as exc:
+    except (RaagError, KeyError, IndexError, TypeError, ValueError) as exc:
         results.append(CheckResult(name, False, "check raised: %s" % exc))
         return
     results.append(CheckResult(name, detail == "", detail or ""))
@@ -525,7 +513,7 @@ def validate(gog: GraphOfGroups, abelian: bool = False) -> List[CheckResult]:
                 continue
             if _splits(masks, m):
                 return "node %d group induces a disconnected subgraph" % n.id
-            if any(_clique_mask(masks, s) for s in _mcs_m(masks, m)):
+            if any(_clique_mask(masks, s) for s in _mcs_m(base, m)):
                 return "node %d group is neither abelian nor separator-free" % n.id
         return ""
 
@@ -705,10 +693,7 @@ class JsjReport:
 def jsj_report(g: SimplicialGraph) -> JsjReport:
     """Both decompositions plus their validation; raises when any check
     fails, so a returned report is always internally consistent."""
-    groups, edges, used = _split_tree(g)
-    hanging = hanging_vertices(g)
-    rel = _build(g, groups, edges)
-    abe = _abelian_gog(g, groups, edges, hanging)
+    rel, abe = relative_jsj(g), abelian_jsj(g)
     checks = tuple(
         [replace(c, name="relative:" + c.name) for c in validate(rel)]
         + [replace(c, name="abelian:" + c.name) for c in validate(abe, abelian=True)])
@@ -716,4 +701,4 @@ def jsj_report(g: SimplicialGraph) -> JsjReport:
     if bad:
         raise InvariantViolationError(
             "validation failed: " + "; ".join("%s (%s)" % (c.name, c.detail) for c in bad))
-    return JsjReport(g, rel, abe, hanging, tuple(used), checks)
+    return JsjReport(g, rel, abe, hanging_vertices(g), _split_tree(g)[2], checks)

@@ -22,7 +22,7 @@ from typing import Iterable, Tuple
 
 from . import kernels
 from .errors import BudgetExceededError, DomainError
-from .graphs import SimplicialGraph, link, _join_masks, _names, _vertex_mask
+from .graphs import SimplicialGraph, link, _join_masks, _memoized, _names, _vertex_mask
 
 Letter = Tuple[str, int]
 
@@ -100,18 +100,16 @@ _NAME = re.compile(r"[A-Za-z0-9_]+\Z")
 _TOKEN = re.compile(r"([A-Za-z0-9_]+)(?:\^([+-]?[0-9]+))?\Z")
 
 
+@_memoized
 def _alphabet(graph: SimplicialGraph) -> _Alphabet:
     """The graph's one alphabet, built on first use: `code` maps the tokens
     `v` and `v^-1` of the generators with token names to codes, `letter`
     and `text` give each code's letter and token text."""
-    if graph._alphabet is None:
-        vs = graph.vertices
-        named = list(map(_NAME.match, vs))
-        texts = tuple(t for v in vs for t in (v, v + "^-1"))
-        graph._alphabet = _Alphabet(
-            {t: c for c, t in enumerate(texts) if named[c >> 1]},
-            tuple((v, s) for v in vs for s in (1, -1)), texts)
-    return graph._alphabet
+    vs = graph.vertices
+    named = list(map(_NAME.match, vs))
+    texts = tuple(t for v in vs for t in (v, v + "^-1"))
+    return _Alphabet({t: c for c, t in enumerate(texts) if named[c >> 1]},
+                     tuple((v, s) for v in vs for s in (1, -1)), texts)
 
 
 # Most letters a parsed word or a power may expand to. Each expanded letter

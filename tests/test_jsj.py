@@ -1,12 +1,21 @@
+import copy
 from dataclasses import replace
+import io
+import json
+import pickle
+import sys
 
 import pytest
 
 from raagdecomp import (DomainError, GogEdge, GogNode, GraphOfGroups,
                         InvariantViolationError, SimplicialGraph,
-                        abelian_jsj, amalgam_split, gog_to_dot,
-                        gog_to_json_obj, hnn_split, jsj_report, parse_graph,
-                        reduce, relative_jsj, star_amalgam_split, validate)
+                        abelian_jsj, amalgam_split, clique_separators,
+                        exhaustive_graphs, gog_to_dot, gog_to_json_obj,
+                        hanging_vertices, hnn_split, is_connected,
+                        jsj_report, parse_graph, parse_word, reduce,
+                        relative_jsj, star_amalgam_split, validate)
+from raagdecomp.cli import main
+from raagdecomp.graphs import _mcs_m
 from raagdecomp.jsj import _attach_index, _build, _split_tree
 
 import golden
@@ -283,6 +292,13 @@ class TestShape:
             GogEdge(0, (0, 1), ("b",), None), GogEdge(1, (1, 5), ("c",), None)))
         assert shape(gog) == (False, "edge 1 has undefined endpoint")
 
+    def test_edge_of_three_ends_is_reported(self):
+        # `a, b = e.ends` raises ValueError; validate reports, never raises
+        rel = relative_jsj(parse_graph("graph { a -- b; b -- c }"))
+        gog = replace(rel, edges=(GogEdge(0, (0, 1, 1), ("b",), None),))
+        passed, detail = shape(gog)
+        assert not passed and detail.startswith("check raised: ")
+
     def test_loops_do_not_count_as_tree_edges(self, p4):
         # two nodes, one loop, no tree edge
         gog = _build(p4, [("a", "b"), ("c", "d")], [(0, 0, ("b",), "a")])
@@ -343,6 +359,82 @@ class TestSplitTree:
             assert len(set(used)) == len(used), (g.vertices, sorted(g.edges))
             count += 1
         assert count == 1 + 1 + 4 + 38 + 728 + 26704 + 300
+
+
+def body_runs(functions, action):
+    """Call `action()`; return, per memoized function, the arguments (the
+    graph left out) of each run of its body, not of each call. A profile
+    hook sees the body's code run whatever binding reached it."""
+    bodies = {f.__wrapped__.__code__: f.__name__ for f in functions}
+    runs = {name: [] for name in bodies.values()}
+
+    def hook(frame, event, _):
+        code = frame.f_code
+        if event == "call" and code in bodies:
+            runs[bodies[code]].append(tuple(
+                frame.f_locals[v] for v in code.co_varnames[1:code.co_argcount]))
+
+    before = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        action()
+    finally:
+        sys.setprofile(before)
+    return runs
+
+
+CYCLE_12 = json.dumps({
+    "vertices": ["v%02d" % i for i in range(12)],
+    "edges": [["v%02d" % i, "v%02d" % ((i + 1) % 12)] for i in range(12)]})
+
+
+class TestMemo:
+    @pytest.mark.parametrize("mode", ["relative", "abelian"])
+    def test_each_computation_once_per_cli_call(self, capsys, monkeypatch, mode):
+        # validate's MCS-M+ on the cycle's one node group is the separator
+        # list's run on the full mask, and its hanging check abelian_jsj's
+        monkeypatch.setattr("sys.stdin", io.StringIO(CYCLE_12))
+        runs = body_runs([_mcs_m, hanging_vertices, _split_tree],
+                         lambda: main(["jsj", "-", "--mode", mode]))
+        assert json.loads(capsys.readouterr().out)["validation"]
+        assert runs == {"_mcs_m": [((1 << 12) - 1,)],
+                        "hanging_vertices": [()] if mode == "abelian" else [],
+                        "_split_tree": [()]}
+
+    def test_jsj_report_splits_once(self, tri_tail):
+        for g in (tri_tail, parse_graph(CYCLE_12)):
+            runs = body_runs([_mcs_m, hanging_vertices, _split_tree],
+                             lambda: jsj_report(g))
+            masks = runs["_mcs_m"]
+            assert len(set(masks)) == len(masks) > 0
+            assert runs["hanging_vertices"] == runs["_split_tree"] == [()]
+
+    def test_memo_leaks_nothing_between_callers(self):
+        # each function on a graph whose memo the others filled, called in
+        # reverse order, against the function on a fresh graph
+        calls = [relative_jsj, abelian_jsj,
+                 lambda g: validate(relative_jsj(g)),
+                 lambda g: validate(abelian_jsj(g), abelian=True),
+                 hanging_vertices, clique_separators, jsj_report]
+        count = 0
+        for n in range(1, 6):
+            for g in exhaustive_graphs(n):
+                if not is_connected(g):
+                    continue
+                count += 1
+                for i, f in enumerate(calls):
+                    filled = SimplicialGraph(g.vertices, g.edges)
+                    for other in reversed(calls[:i] + calls[i + 1:]):
+                        other(filled)
+                    assert f(filled) == f(SimplicialGraph(g.vertices, g.edges))
+        assert count == 1 + 1 + 4 + 38 + 728
+
+    def test_copies_of_a_filled_graph_compare_and_hash_equal(self, tri_tail):
+        report = jsj_report(tri_tail)
+        parse_word(tri_tail, "a d")  # the word alphabet, too
+        for g in (copy.copy(tri_tail), pickle.loads(pickle.dumps(tri_tail))):
+            assert g == tri_tail and hash(g) == hash(tri_tail)
+            assert jsj_report(g) == report
 
 
 class TestSerialization:

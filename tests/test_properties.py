@@ -481,9 +481,9 @@ def test_mcs_m_on_a_vertex_subset_is_mcs_m_of_its_subgraph(case):
     # validate runs MCS-M+ on a node group's mask, not on its subgraph
     g, _, sub = case
     h = induced_subgraph(g, sub)
-    on_mask = _mcs_m(g.masks, _vertex_mask(g, sub))
+    on_mask = _mcs_m(g, _vertex_mask(g, sub))
     assert [_names(g.vertices, s) for s in on_mask] == \
-        [_names(h.vertices, s) for s in _mcs_m(h.masks, _full_mask(h))]
+        [_names(h.vertices, s) for s in _mcs_m(h, _full_mask(h))]
 
 
 @given(wide_graphs())
