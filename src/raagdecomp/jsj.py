@@ -155,9 +155,14 @@ def _split_tree(g):
 
     A piece splits along the least clique separator of the full subgraph
     on it. The clique minimal separators of `g` include those of every
-    piece, so the least one is the first of them, in (size, lex) order,
-    that lies inside the piece and disconnects it. It also comes after the
-    separator its parent split along, so the scan of a piece starts there.
+    piece, and splitting along one of them leaves each of the others inside
+    exactly one piece, where it still disconnects that piece (Leimer,
+    "Optimal decomposition by clique separators", Discrete Math. 113,
+    1993; Berry, Pogorelcnik and Simonet, Algorithms 3(2), 2010). So every
+    separator is used exactly once, and a piece splits along the first of
+    them, in (size, lex) order, that lies inside it. That one comes after
+    the separator its parent split along, so the scan of a piece starts
+    there.
     The pieces of a split are the separator plus each component left after
     deleting it, in order of least vertex; the pieces of consecutive
     components are joined at their lexicographically least group
@@ -214,25 +219,23 @@ def _split_tree(g):
 
 def _first_split(masks, piece, separators, first):
     """(index, components) for the first separator from `first` on that
-    lies inside `piece` and disconnects it, or None; complete pieces never
-    split. A piece is connected, so every component of the piece minus a
-    separator holds a neighbour of the separator, and
+    lies inside `piece`, or None; complete pieces never split, and hold no
+    separator left unused. A separator inside a piece disconnects it (see
+    `_split_tree`). A piece is connected, so every component of the piece
+    minus a separator holds a neighbour of the separator, and
     `_separated_components` finds them from there."""
     if _clique_mask(masks, piece):
         return None
     for pos in range(first, len(separators)):
         kmask = separators[pos][1]
         if piece | kmask == piece:
-            comps = _separated_components(masks, piece ^ kmask, kmask)
-            if comps:
-                return pos, comps
+            return pos, _separated_components(masks, piece ^ kmask, kmask)
     return None
 
 
 def _separated_components(masks, rest, kmask):
     """The components of the subgraph on `rest`, as bitmasks in order of
-    least vertex, when there are two or more; else None. Every component
-    must hold a neighbour of `kmask`.
+    least vertex. Every component must hold a neighbour of `kmask`.
 
     Lockstep searches (Even and Shiloach, "An on-line edge-deletion
     problem", J. ACM 28(1), 1981): one per neighbour of the separator,
@@ -251,8 +254,6 @@ def _separated_components(masks, rest, kmask):
         seeds |= masks[b.bit_length() - 1]
         k ^= b
     seeds &= rest
-    if not seeds & (seeds - 1):
-        return None
     left = rest ^ seeds  # the vertices no search has reached
     owner = {}
     seen = []  # the vertices reached by each search
@@ -313,8 +314,6 @@ def _separated_components(masks, rest, kmask):
         growing = after
     if alive:
         comps.append(rest ^ functools.reduce(operator.or_, comps, 0))
-    if len(comps) < 2:
-        return None
     comps.sort(key=lambda c: c & -c)
     return comps
 
@@ -361,11 +360,15 @@ def abelian_jsj(g: SimplicialGraph) -> GraphOfGroups:
 def reduce(gog: GraphOfGroups) -> GraphOfGroups:
     """Contract non-loop edges whose group equals an endpoint group, lowest
     edge id first, until none remain; incident edges and loops are re-homed
-    onto the surviving endpoint (see `_contract`)."""
-    return _build(gog.base, *_contract(
-        {n.id: n.group for n in gog.nodes},
-        {e.id: (e.ends[0], e.ends[1], e.group, e.stable_letter)
-         for e in gog.edges}))
+    onto the surviving endpoint (see `_contract`). An edge without two
+    ends among the node ids raises DomainError."""
+    groups = {n.id: n.group for n in gog.nodes}
+    edges = {}
+    for e in gog.edges:
+        if len(e.ends) != 2 or not all(end in groups for end in e.ends):
+            raise DomainError("edge %d has undefined endpoint" % e.id)
+        edges[e.id] = (e.ends[0], e.ends[1], e.group, e.stable_letter)
+    return _build(gog.base, *_contract(groups, edges))
 
 
 def _contract(groups, edges):

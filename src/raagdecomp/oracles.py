@@ -19,7 +19,7 @@ from typing import List, Optional
 from . import kernels
 from .errors import BudgetExceededError, DomainError
 from .graphs import SimplicialGraph
-from .words import NormalForm, Word, _decode, _encode, _same_graph
+from .words import NormalForm, Word, _decode, _same_graph
 
 
 @dataclass(frozen=True)
@@ -118,11 +118,11 @@ def brute_atoms(g: SimplicialGraph, budget: Optional[OracleBudget] = None):
     return sorted(tuple(sorted(a)) for a in atoms)
 
 
-def _byte_codes(g, letters) -> bytes:
+def _byte_codes(g, w) -> bytes:
     if len(g.vertices) > 128:
         raise DomainError("the closures hold one byte per letter, so at most "
                           "128 generators; this graph has %d" % len(g.vertices))
-    return bytes(_encode(g, letters))
+    return bytes(w._codes)
 
 
 def bfs_equal(w1: Word, w2: Word, budget: Optional[OracleBudget] = None) -> bool:
@@ -131,7 +131,7 @@ def bfs_equal(w1: Word, w2: Word, budget: Optional[OracleBudget] = None) -> bool
     the closures of equal words meet, those of distinct words never do."""
     budget = budget or OracleBudget()
     _same_graph(w1, w2)
-    combined = len(w1.letters) + len(w2.letters)
+    combined = len(w1._codes) + len(w2._codes)
     if combined > 2 * budget.max_word_length:
         raise BudgetExceededError(
             "combined word length %d exceeds 2*max_word_length=%d"
@@ -139,7 +139,7 @@ def bfs_equal(w1: Word, w2: Word, budget: Optional[OracleBudget] = None) -> bool
             dimension="max_word_length", consumed=combined,
             limit=2 * budget.max_word_length)
     g = w1.graph
-    a, b = _byte_codes(g, w1.letters), _byte_codes(g, w2.letters)
+    a, b = _byte_codes(g, w1), _byte_codes(g, w2)
     return kernels.closure_equal(a, b, g.masks, budget.max_states)
 
 
@@ -208,15 +208,15 @@ def commuting_words(g: SimplicialGraph, w: Word, max_len: int,
     if not isinstance(max_len, int) or max_len < 0:
         raise DomainError("radius must be an int >= 0, got %r" % (max_len,))
     _check_vertices(g, budget)
-    if max_len + len(w.letters) > budget.max_word_length:
+    if max_len + len(w._codes) > budget.max_word_length:
         raise BudgetExceededError(
             "radius %d plus word length %d exceeds max_word_length=%d"
-            % (max_len, len(w.letters), budget.max_word_length),
-            dimension="max_word_length", consumed=max_len + len(w.letters),
+            % (max_len, len(w._codes), budget.max_word_length),
+            dimension="max_word_length", consumed=max_len + len(w._codes),
             limit=budget.max_word_length)
     masks = g.masks
     cap = budget.max_states
-    wc = _byte_codes(g, w.letters)
+    wc = _byte_codes(g, w)
     inside = {}
     out = []
     for u in _enumerated_ball(g, max_len, cap):

@@ -55,22 +55,18 @@ class Word(_Spelling):
     letters: Tuple[Letter, ...]
 
     def __post_init__(self):
-        for name, sign in self.letters:
-            if sign not in (1, -1):
-                raise DomainError("letter sign must be +1 or -1, got %r" % (sign,))
-            if name not in self.graph._index:
-                raise DomainError("unknown generator %r" % (name,))
+        _encode(self.graph, self.letters)
 
     def __mul__(self, other: "Word") -> "Word":
         _same_graph(self, other)
-        return Word(self.graph, self.letters + other.letters)
+        return _built(Word, self.graph, self._codes + other._codes)
 
     def inverse(self) -> "Word":
-        return Word(self.graph,
-                    tuple((n, -s) for n, s in reversed(self.letters)))
+        return _built(Word, self.graph,
+                      tuple(x ^ 1 for x in reversed(self._codes)))
 
     def written_length(self) -> int:
-        return len(self.letters)
+        return len(self._codes)
 
 
 @dataclass(frozen=True)
@@ -164,8 +160,18 @@ def _same_graph(a, b) -> None:
 
 
 def _encode(graph: SimplicialGraph, letters: Iterable[Letter]) -> Tuple[int, ...]:
+    """The letters' codes. Every letter a caller hands in is checked here:
+    a sign other than +1 or -1, then a name off the graph, raises
+    DomainError."""
     idx = graph._index
-    return tuple(2 * idx[n] + (0 if s > 0 else 1) for n, s in letters)
+    codes = []
+    for name, sign in letters:
+        if sign not in (1, -1):
+            raise DomainError("letter sign must be +1 or -1, got %r" % (sign,))
+        if name not in idx:
+            raise DomainError("unknown generator %r" % (name,))
+        codes.append(2 * idx[name] + (sign < 0))
+    return tuple(codes)
 
 
 def _decode(graph: SimplicialGraph, codes) -> Tuple[Letter, ...]:
@@ -195,12 +201,14 @@ def support(w) -> Tuple[str, ...]:
 def retract(w: Word, s) -> Word:
     """Image under the retraction killing every generator outside `s`."""
     m = _vertex_mask(w.graph, s)
-    idx = w.graph._index
-    return Word(w.graph, tuple(l for l in w.letters if m >> idx[l[0]] & 1))
+    return _built(Word, w.graph, tuple(x for x in w._codes if m >> (x >> 1) & 1))
 
 
 def power(w: Word, k: int) -> Word:
-    """w^k, refused above MAX_WORD_LETTERS letters before building any."""
+    """w^k, refused above MAX_WORD_LETTERS letters before building any;
+    an exponent that is not an int raises DomainError."""
+    if not isinstance(k, int):
+        raise DomainError("exponent must be an int, got %r" % (k,))
     codes = w._codes if k >= 0 else tuple(x ^ 1 for x in reversed(w._codes))
     if len(codes) * abs(k) > MAX_WORD_LETTERS:
         raise DomainError("word expands to more than %d letters"

@@ -6,7 +6,7 @@ import time
 from hypothesis import example, given, settings, strategies as st
 import pytest
 
-from raagdecomp import CheckResult, cli, words
+from raagdecomp import CheckResult, InvariantViolationError, cli, words
 from raagdecomp.cli import _dump, main
 
 import golden
@@ -190,6 +190,16 @@ class TestJsj:
         code, out, _ = run(capsys, "jsj", p4_file, "--quiet")
         assert code == 2
         assert "validation" not in json.loads(out)
+
+    def test_construction_failure_exits_2(self, capsys, p4_file,
+                                          monkeypatch):
+        def broken(g):
+            raise InvariantViolationError("no subtree node group properly "
+                                          "contains the separator ['b']")
+        monkeypatch.setattr("raagdecomp.cli.relative_jsj", broken)
+        assert run(capsys, "jsj", p4_file) == (
+            2, "", "validation failure: no subtree node group properly "
+            "contains the separator ['b']\n")
 
     def test_bad_mode_is_input_error(self, capsys, p4_file):
         code, _, _ = run(capsys, "jsj", p4_file, "--mode", "sideways")

@@ -3,6 +3,7 @@ from dataclasses import replace
 import io
 import json
 import pickle
+import random
 import sys
 
 import pytest
@@ -15,7 +16,7 @@ from raagdecomp import (DomainError, GogEdge, GogNode, GraphOfGroups,
                         jsj_report, parse_graph, parse_word, reduce,
                         relative_jsj, star_amalgam_split, validate)
 from raagdecomp.cli import main
-from raagdecomp.graphs import _mcs_m
+from raagdecomp.graphs import _clique_minimal_separators, _mcs_m
 from raagdecomp.jsj import _attach_index, _build, _split_tree
 
 import golden
@@ -197,6 +198,14 @@ class TestReduce:
         gog = relative_jsj(p4)
         assert reduce(gog) == gog
 
+    @pytest.mark.parametrize("ends", [(0, 5), (0,), (5, 5)])
+    def test_undefined_endpoint_refused(self, p4, ends):
+        gog = GraphOfGroups(p4, (GogNode(0, ("a", "b"), True),),
+                            (GogEdge(0, ends, ("b",), None),))
+        with pytest.raises(DomainError) as info:
+            reduce(gog)
+        assert str(info.value) == "edge 0 has undefined endpoint"
+
 
 class TestValidate:
     def test_detects_disconnected_base_graph(self, p4):
@@ -348,6 +357,43 @@ class TestAttachIndex:
                 self.attach(groups, bits, start, 2)
 
 
+def glued_blobs(rng, size):
+    """A connected graph of at least `size` vertices glued from blobs along
+    cliques: each blob is a clique of up to 3 vertices of the graph so far
+    plus 1-5 new vertices, each joined to one vertex of the blob before it
+    and to every other with one probability per blob."""
+    adj = [set()]
+    while len(adj) < size:
+        blob = [rng.randrange(len(adj))]
+        for u in sorted(adj[blob[0]]):
+            if len(blob) < 3 and rng.random() < 0.5 and \
+                    all(u in adj[v] for v in blob):
+                blob.append(u)
+        p = rng.random()
+        for _ in range(rng.randint(1, 5)):
+            v = len(adj)
+            first = rng.choice(blob)
+            adj.append({u for u in blob if u == first or rng.random() < p})
+            for u in adj[v]:
+                adj[u].add(v)
+            blob.append(v)
+    names = ["v%02d" % v for v in range(len(adj))]
+    return SimplicialGraph(names, [(names[u], names[v])
+                                   for u in range(len(adj))
+                                   for v in adj[u] if u < v])
+
+
+def assert_each_separator_splits_once(g):
+    """The split tree uses every clique minimal separator of `g` exactly
+    once, and each splits its piece into two or more: a split into one
+    component would join no pieces, so its separator would carry no edge."""
+    _, edges, used = _split_tree(g)
+    where = (g.vertices, sorted(g.edges))
+    assert sorted(used, key=lambda k: (len(k), k)) == \
+        [k for k, _ in _clique_minimal_separators(g)], where
+    assert {k for _, _, k, _ in edges} == set(used), where
+
+
 class TestSplitTree:
     def test_no_separator_splits_twice(self):
         # jsj_report's separators_used is the split tree's list as it
@@ -355,10 +401,18 @@ class TestSplitTree:
         # vertices, then 300 seeded ones of 7-12
         count = 0
         for _, g in golden.corpus():
-            used = _split_tree(g)[2]
-            assert len(set(used)) == len(used), (g.vertices, sorted(g.edges))
+            assert_each_separator_splits_once(g)
             count += 1
         assert count == 1 + 1 + 4 + 38 + 728 + 26704 + 300
+
+    def test_glued_blobs_use_every_separator_once(self):
+        rng = random.Random(0xB10B)
+        seps = 0
+        for _ in range(300):
+            g = glued_blobs(rng, rng.randrange(10, 61))
+            assert_each_separator_splits_once(g)
+            seps += len(_clique_minimal_separators(g))
+        assert seps > 3000
 
 
 def body_runs(functions, action):

@@ -104,6 +104,23 @@ class TestNormalForm:
         assert str(NormalForm(g, (("v129", -1), ("zzz", 1)))) == "v129^-1 zzz"
         assert NormalForm(g, (("v129", -1), ("v000", 1))).length() == 2
 
+    @pytest.mark.parametrize("letter, text, message", [
+        (("a", 0), "a^-1", "letter sign must be +1 or -1, got 0"),
+        (("a", 2), "a", "letter sign must be +1 or -1, got 2"),
+        (("zz", 1), "zz", "unknown generator 'zz'")])
+    def test_caller_normal_form_letters_are_checked(self, p4, letter, text,
+                                                    message):
+        # a caller's normal form is checked where its letters are encoded,
+        # with the texts of the checking constructor; it still prints
+        nf = NormalForm(p4, (letter,))
+        for op in (normal_form, support, lambda x: equal(x, w(p4, "a")),
+                   lambda x: equal(w(p4, "a"), x), lambda x: w(p4, "a") * x,
+                   lambda x: x.word):
+            with pytest.raises(DomainError) as info:
+                op(nf)
+            assert str(info.value) == message
+        assert str(nf) == text
+
     def test_equal_rejects_cross_graph(self, p4, k3):
         with pytest.raises(DomainError):
             equal(w(p4, "a"), w(k3, "a"))
@@ -141,6 +158,28 @@ class TestSupportAndRetract:
         assert p._codes == w(p4, text)._codes
         assert calls == []
         assert p.letters == w(p4, text).letters
+
+    @pytest.mark.parametrize("k", [2.0, "2", None])
+    def test_power_exponent_must_be_an_int(self, p4, k):
+        with pytest.raises(DomainError) as info:
+            power(w(p4, "a"), k)
+        assert str(info.value) == "exponent must be an int, got %r" % (k,)
+
+    def test_built_from_codes_without_decoding_or_checking(self, p4,
+                                                           monkeypatch):
+        # products, inverses and retractions of checked words reuse their
+        # codes: no letter is decoded or encoded again
+        u, v = w(p4, "a c^-1 b"), w(p4, "d b^-1")
+        calls = []
+        for name in ("_decode", "_encode"):
+            monkeypatch.setattr(words, name, lambda *a: calls.append(a))
+        built = [u * v, u.inverse(), retract(u * v, {"b", "d"})]
+        lengths = [x.written_length() for x in built + [u]]
+        assert calls == []
+        monkeypatch.undo()
+        assert [str(x) for x in built] == ["a c^-1 b d b^-1", "b^-1 c a^-1",
+                                           "b d b^-1"]
+        assert lengths == [5, 3, 3, 3]
 
     def test_power_over_length_cap(self, p4):
         # 1,000,002 letters: refused before any of them is built
