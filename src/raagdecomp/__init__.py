@@ -22,8 +22,8 @@ from .jsj import (CheckResult, GogEdge, GogNode, GraphOfGroups, JsjReport,
                   star_amalgam_split, validate)
 from .kernels import backend_name
 from .oracles import (OracleBudget, bfs_equal, brute_atoms,
-                      brute_clique_separators, commuting_words,
-                      exhaustive_graphs)
+                      brute_clique_separators, brute_primitive_root,
+                      commuting_words, exhaustive_graphs)
 from .words import (CentralizerDescriptor, CentralizerFactor, NormalForm, Word,
                     centralizer_descriptor, cyclically_reduce, equal,
                     normal_form, parse_word, power, primitive_root, retract,
@@ -37,13 +37,14 @@ __all__ = [
     "GraphParseError", "GraphValidationError", "InvariantViolationError",
     "JsjReport", "NormalForm", "OracleBudget", "RaagError", "SimplicialGraph",
     "Word", "abelian_jsj", "amalgam_split", "backend_name", "bfs_equal",
-    "brute_atoms", "brute_clique_separators", "centralizer_descriptor",
-    "clique_separators", "commuting_words", "connected_components",
-    "cyclically_reduce", "equal", "exhaustive_graphs", "gog_to_dot",
-    "gog_to_json_obj", "graph_to_dot", "hanging_vertices", "hnn_split",
-    "induced_subgraph", "is_clique", "is_complete", "is_connected",
-    "join_factors", "jsj_report", "link", "minimum_clique_separator",
-    "normal_form", "parse_graph", "parse_word", "power", "primitive_root",
-    "reduce", "relative_jsj", "retract", "serialize_graph", "star",
-    "star_amalgam_split", "support", "validate", "word_text",
+    "brute_atoms", "brute_clique_separators", "brute_primitive_root",
+    "centralizer_descriptor", "clique_separators", "commuting_words",
+    "connected_components", "cyclically_reduce", "equal", "exhaustive_graphs",
+    "gog_to_dot", "gog_to_json_obj", "graph_to_dot", "hanging_vertices",
+    "hnn_split", "induced_subgraph", "is_clique", "is_complete",
+    "is_connected", "join_factors", "jsj_report", "link",
+    "minimum_clique_separator", "normal_form", "parse_graph", "parse_word",
+    "power", "primitive_root", "reduce", "relative_jsj", "retract",
+    "serialize_graph", "star", "star_amalgam_split", "support", "validate",
+    "word_text",
 ]

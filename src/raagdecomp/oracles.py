@@ -240,6 +240,67 @@ def commuting_words(g: SimplicialGraph, w: Word, max_len: int,
     return out
 
 
+def _exponents(g: SimplicialGraph, codes):
+    """Net exponent of each generator in `codes`: the word's image in the
+    free abelian group on the vertices."""
+    out = [0] * len(g.vertices)
+    for x in codes:
+        out[x >> 1] += -1 if x & 1 else 1
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=32)
+def _ball_level(g: SimplicialGraph, length: int, max_states: int):
+    """The canonical words of exactly `length` letters, shortlex sorted and
+    grouped by their net exponents."""
+    ball = _enumerated_ball(g, length, max_states)
+    out = {}
+    for u in ball[bisect_left(ball, length, key=len):]:
+        out.setdefault(_exponents(g, u), []).append(u)
+    return out
+
+
+def brute_primitive_root(w: Word, budget: Optional[OracleBudget] = None):
+    """(root, k) with w = root^k and k largest, for a nontrivial cyclically
+    reduced w whose support is not a join (unchecked), by trying every
+    canonical word as the root.
+
+    The closure-least spelling of w has n letters. For each divisor k >= 2
+    of n, from the largest down, the canonical words u of exactly n/k
+    letters in the ball are tried in shortlex order, and the first whose
+    k-th power the closure finds equal to w is the root: the k found is
+    the largest, and roots are unique, so the first hit is the root's
+    canonical form. Only the words whose net exponents, times k, are w's
+    get a closure: abelianizing is a homomorphism, so it sends u^k and w
+    to one point when they are equal. When no k works, w is its own root
+    with k = 1. No production code is used.
+    """
+    budget = budget or OracleBudget()
+    g = w.graph
+    _check_vertices(g, budget)
+    if len(w._codes) > budget.max_word_length:
+        raise BudgetExceededError(
+            "word length %d exceeds max_word_length=%d"
+            % (len(w._codes), budget.max_word_length),
+            dimension="max_word_length", consumed=len(w._codes),
+            limit=budget.max_word_length)
+    masks = g.masks
+    cap = budget.max_states
+    wc = kernels.closure_canonical(_byte_codes(g, w), masks, cap)
+    n = len(wc)
+    if not n:
+        raise DomainError("brute_primitive_root requires a nontrivial word")
+    target = _exponents(g, wc)
+    for k in range(n, 1, -1):
+        if n % k or any(e % k for e in target):
+            continue
+        level = _ball_level(g, n // k, cap)
+        for u in level.get(tuple(e // k for e in target), ()):
+            if kernels.closure_equal(u * k, wc, masks, cap):
+                return NormalForm(g, _decode(g, u)), k
+    return NormalForm(g, _decode(g, wc)), 1
+
+
 def exhaustive_graphs(n: int):
     """Stream of all labeled simple graphs on the first n canonical vertex
     names (a, b, c, ...), in edge-bitmask order."""

@@ -8,15 +8,16 @@ their normal forms coincide.
 Letter order is (generator name, sign) with the positive letter before the
 inverse, generators in sorted name order; all determinism downstream leans
 on that order. The kernels read letter codes, a tuple of ints: 2i for the
-i-th generator, 2i + 1 for its inverse. Words the engine builds carry
-their codes and decode their letters when read; others encode on first use.
+i-th generator, 2i + 1 for its inverse. Engine-built words and `Word`s carry
+their codes, the former decoding letters when read; others encode on first use.
 """
 
 from bisect import insort
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
+from math import gcd
 import re
 from typing import Iterable, Tuple
 
@@ -55,7 +56,7 @@ class Word(_Spelling):
     letters: Tuple[Letter, ...]
 
     def __post_init__(self):
-        _encode(self.graph, self.letters)
+        vars(self)["_codes"] = _encode(self.graph, self.letters)
 
     def __mul__(self, other: "Word") -> "Word":
         _same_graph(self, other)
@@ -355,63 +356,39 @@ def _divisors_descending(n: int):
     return [k for k in range(n, 1, -1) if n % k == 0]
 
 
-def _length_m_prefixes(codes, m: int, masks):
-    """Distinct length-m prefixes over all linearizations of a reduced word.
-
-    The choice tree takes one front-movable letter off what remains at each
-    node, down to depth m. More than MAX_LINEARIZATIONS nodes raise
-    BudgetExceededError before any prefix is listed. A subtree depends only
-    on the letters that remain, and one remainder is reached along many
-    paths, so the tree is walked once per distinct remainder, level by
-    level: its nodes are counted bottom-up, then its prefixes collected the
-    same way. At most that many remainders are held, each a node.
-    """
+def _count_choice_tree(codes, m: int, masks) -> None:
+    """Count the nodes of the choice tree that takes one front-movable
+    letter off what remains of a reduced word at each node, down to depth
+    m, level by level once per distinct remainder with the number of paths
+    reaching it (each edge out of it adds that many). BudgetExceededError is
+    raised as soon as the count passes MAX_LINEARIZATIONS: exactly when the
+    whole tree is larger."""
     cap = MAX_LINEARIZATIONS
-
-    def refuse(consumed):
-        return BudgetExceededError(
-            "linearization enumeration exceeded %d steps" % cap,
-            dimension="max_linearizations", consumed=consumed, limit=cap)
-
-    # levels[d]: remainder at depth d -> its (letter slice, child) pairs
-    levels = [{codes: ()}]
-    seen = 1  # distinct remainders, each at least one node
-    for _ in range(m):
+    level, nodes = {codes: 1}, 1
+    for depth in range(m):
         below = {}
-        for rest in levels[-1]:
-            kids = []
-            for x, p in _first_movable(rest, masks).items():
-                child = rest[:p] + rest[p + 1:]
-                kids.append((rest[p:p + 1], child))
-                if child not in below:
-                    below[child] = ()
-                    seen += 1
-                    if seen > cap:
-                        raise refuse(seen)
-            levels[-1][rest] = kids
-        levels.append(below)
-    nodes = dict.fromkeys(levels[-1], 1)
-    for level in reversed(levels[:-1]):
-        nodes = {rest: 1 + sum(nodes[c] for _, c in kids)
-                 for rest, kids in level.items()}
-    if nodes[codes] > cap:
-        raise refuse(nodes[codes])
-    prefixes = dict.fromkeys(levels[-1], (codes[:0],))
-    for level in reversed(levels[:-1]):
-        prefixes = {rest: {x + p for x, c in kids for p in prefixes[c]}
-                    for rest, kids in level.items()}
-    return prefixes[codes]
+        for rest, paths in level.items():
+            moves = _first_movable(rest, masks).values()
+            nodes += paths * len(moves)
+            if nodes > cap:
+                raise BudgetExceededError(
+                    "linearization enumeration exceeded %d steps" % cap,
+                    dimension="max_linearizations", consumed=nodes, limit=cap)
+            if depth < m - 1:
+                for p in moves:
+                    child = rest[:p] + rest[p + 1:]
+                    below[child] = below.get(child, 0) + paths
+        level = below
 
 
 def primitive_root(w) -> Tuple[NormalForm, int]:
     """Largest k with w = root^k, for a cyclically reduced w whose support
     does not split as a join.
 
-    Tries divisor exponents of the normal-form length from largest to
-    smallest; for each, tests every distinct linearization prefix of the
-    matching length. The first hit is the primitive root (roots are unique
-    here, so the exponent found is maximal). More than MAX_LINEARIZATIONS
-    nodes in one choice tree raise BudgetExceededError.
+    The root is read off the letter counts (`_root`); the choice tree of
+    linearization prefixes is only counted: more than MAX_LINEARIZATIONS
+    nodes in the tree of one exponent, from the largest down to the one
+    found, raise BudgetExceededError.
     """
     g = w.graph
     masks = g.masks
@@ -427,13 +404,35 @@ def primitive_root(w) -> Tuple[NormalForm, int]:
 
 
 def _root(g: SimplicialGraph, codes) -> Tuple[NormalForm, int]:
-    """`primitive_root` of the normal form `codes`, unchecked."""
+    """`primitive_root` of the normal form `codes` (w), unchecked.
+
+    For each divisor k of the length n, from the largest down, the choice
+    tree to depth n/k is counted (it may refuse); then, if k divides d, the
+    gcd of the letter counts per generator, the candidate u, the first
+    count/k letters of each generator in w's order, is the root when u^k
+    canonicalizes to w. If p^k = w, then k divides d, and as two letters of
+    one generator never swap, the first copy of p in p^k is an order ideal
+    of w's heap holding just those letters. The normal form w is the heap's
+    greedy lex-least linearization, which restricted to an order ideal is
+    the ideal's own (its letters wait only for each other): u is nf(p).
+    """
     n = len(codes)
-    piece = bytes(codes) if len(g.masks) <= 128 else codes  # faster to enumerate
+    counts = Counter(x >> 1 for x in codes)
+    d = gcd(*counts.values())
+    piece = bytes(codes) if len(g.masks) <= 128 else codes  # faster to count
     for k in _divisors_descending(n):
-        for p in sorted(_length_m_prefixes(piece, n // k, g.masks)):
-            if kernels.canonicalize(p * k, g.masks) == piece:
-                return _built(NormalForm, g, tuple(p)), k
+        _count_choice_tree(piece, n // k, g.masks)
+        if d % k:
+            continue
+        left = {h: c // k for h, c in counts.items()}
+        u = []
+        for x in codes:
+            if left[x >> 1]:
+                left[x >> 1] -= 1
+                u.append(x)
+        u = tuple(u)
+        if kernels.canonicalize(u * k, g.masks) == codes:
+            return _built(NormalForm, g, u), k
     return _built(NormalForm, g, codes), 1
 
 

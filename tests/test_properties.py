@@ -7,21 +7,22 @@ import pickle
 import random
 import re
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 import pytest
 
 from raagdecomp import (BudgetExceededError, CentralizerDescriptor,
                         CentralizerFactor, DomainError, GraphOfGroups,
                         NormalForm, OracleBudget, SimplicialGraph, Word,
                         abelian_jsj, amalgam_split, bfs_equal, brute_atoms,
-                        centralizer_descriptor, clique_separators,
-                        commuting_words, connected_components,
-                        cyclically_reduce, equal, exhaustive_graphs,
-                        graph_to_dot, hnn_split, induced_subgraph, is_clique,
-                        is_connected, join_factors, link, normal_form,
-                        parse_graph, parse_word, power, primitive_root,
-                        reduce, relative_jsj, star, star_amalgam_split,
-                        support, validate, word_text)
+                        brute_primitive_root, centralizer_descriptor,
+                        clique_separators, commuting_words,
+                        connected_components, cyclically_reduce, equal,
+                        exhaustive_graphs, graph_to_dot, hnn_split,
+                        induced_subgraph, is_clique, is_connected,
+                        join_factors, link, normal_form, parse_graph,
+                        parse_word, power, primitive_root, reduce,
+                        relative_jsj, star, star_amalgam_split, support,
+                        validate, word_text)
 from raagdecomp import jsj, kernels, words, _pykernel
 from raagdecomp.graphs import (_clique_minimal_separators, _component_masks,
                                _full_mask, _join_masks, _mcs_m, _names,
@@ -31,6 +32,7 @@ from raagdecomp.oracles import _enumerated_ball
 from raagdecomp.words import _decode, _encode
 
 from conftest import random_connected_graph, random_word
+from test_words import _choice_tree_size
 
 
 NAMES = "abcde"
@@ -289,6 +291,84 @@ def test_words_past_the_128th_generator_match_after_renaming(case):
     # link stays inside it; the trivial word's link is every vertex
     assert bd.link_part == (tuple(rename[v] for v in d.link_part)
                             if d.factors else bw.graph.vertices)
+
+
+# --- primitive roots against brute force and the path-by-path tree count -
+
+
+# one graph of each isomorphism type on at most 3 vertices
+_SMALL_GRAPHS = [SimplicialGraph(tuple(vs), [tuple(e) for e in es])
+                 for vs, es in [("a", []), ("ab", []), ("ab", ["ab"]),
+                                ("abc", []), ("abc", ["ac"]),
+                                ("abc", ["ab", "ac"]),
+                                ("abc", ["ab", "ac", "bc"])]]
+
+
+def test_primitive_root_matches_brute_force_on_small_normal_forms():
+    seen = powers = 0
+    for g in _SMALL_GRAPHS:
+        for codes in _normal_forms(g.masks, 6):
+            word = Word(g, _decode(g, codes))
+            try:
+                root, k = primitive_root(word)
+            except DomainError:  # trivial, not cyclically reduced, a join
+                continue
+            brute, brute_k = brute_primitive_root(word)
+            assert (root, k) == (brute, brute_k), (g.edges, str(word))
+            seen += 1
+            powers += k > 1
+    assert (seen, powers) == (30_444, 530)
+
+
+@st.composite
+def root_pieces(draw, max_len=4):
+    """A piece that `centralizer_descriptor` hands the root search: the
+    letters on one join factor of the cyclically reduced form of u^k, for
+    a word u over at most 4 generators and k from 1 to 3."""
+    g, w = draw(graph_words(max_n=4, max_len=max_len))
+    red = cyclically_reduce(power(w, draw(st.integers(1, 3))))[0]._codes
+    assume(red)
+    f = draw(st.sampled_from(_join_masks(
+        g.masks, _vertex_mask(g, {g.vertices[x >> 1] for x in red}))))
+    return Word(g, _decode(g, tuple(x for x in red if f >> (x >> 1) & 1)))
+
+
+@given(root_pieces())
+@settings(deadline=None)
+def test_primitive_root_matches_brute_force(word):
+    try:
+        brute = brute_primitive_root(
+            word, OracleBudget(max_word_length=12, max_states=20_000))
+    except BudgetExceededError:
+        assume(False)
+    assert primitive_root(word) == brute
+
+
+@given(root_pieces(max_len=5))
+@settings(deadline=None, max_examples=200)
+def test_root_refusal_is_the_choice_tree_size(word):
+    # the root search refuses exactly when the tree of some divisor
+    # exponent, from the largest down to the one found, passes the cap
+    root, k = primitive_root(word)
+    codes = normal_form(word)._codes
+    n = len(codes)
+    largest = max((_choice_tree_size(codes, n // j, word.graph.masks)
+                   for j in range(n, max(k, 2) - 1, -1) if n % j == 0),
+                  default=1)
+    saved = words.MAX_LINEARIZATIONS
+    try:
+        for cap in range(2, 71):
+            words.MAX_LINEARIZATIONS = cap
+            if largest > cap:
+                with pytest.raises(BudgetExceededError) as info:
+                    primitive_root(word)
+                assert str(info.value) == \
+                    "linearization enumeration exceeded %d steps" % cap
+                assert info.value.consumed > info.value.limit == cap
+            else:
+                assert primitive_root(word) == (root, k)
+    finally:
+        words.MAX_LINEARIZATIONS = saved
 
 
 @given(graph_words(max_n=4, max_len=5))
@@ -1038,9 +1118,9 @@ def test_engine_words_carry_their_codes(gw, k):
         assert x.letters == _decode(x.graph, x._codes)
         for y in copies + [replace(x), type(x)(x.graph, x.letters)]:
             assert y == x and hash(y) == hash(x) and repr(y) == repr(x)
-    # a normal form's word is built through the checking constructor and
-    # encodes its letters on first use
-    assert "_codes" not in vars(nf.word)
+    # a normal form's word is built through the checking constructor,
+    # which keeps the codes it checked the letters into
+    assert "_codes" in vars(nf.word)
     for x in built + [nf.word]:
         _assert_carries_its_codes(x)
 

@@ -65,6 +65,18 @@ class TestParsing:
 
 
 class TestNormalForm:
+    def test_word_encodes_its_letters_once(self, p4, monkeypatch):
+        # the constructor checks the letters by encoding them and keeps
+        # the codes, so later engine calls encode nothing
+        seen = []
+        encode = words._encode
+        monkeypatch.setattr(words, "_encode",
+                            lambda g, letters: seen.append(letters)
+                            or encode(g, letters))
+        word = Word(p4, (("a", 1), ("c", -1), ("b", 1)))
+        assert str(normal_form(word)) == str(normal_form(word)) == "a b c^-1"
+        assert len(seen) == 1
+
     def test_free_cancellation(self, p4):
         assert str(normal_form(w(p4, "a a^-1"))) == ""
         assert str(normal_form(w(p4, "c a b b^-1 a^-1"))) == "c"
@@ -275,6 +287,26 @@ class TestPrimitiveRoot:
             primitive_root(word)
         assert str(info.value) == "linearization enumeration exceeded 64 steps"
         assert (info.value.consumed, info.value.limit) == (65, 64)
+
+    @pytest.mark.parametrize("text, calls", [
+        ("a b c b d c a d b c d c", 0),  # letter counts 2, 3, 4, 3: gcd 1
+        ("a b c d a b c d a b c d a b c d", 1),  # gcd 4: k = 4 answers
+        ("a d a d a d a d", 1),  # counts 4, 4; n = 8: k = 8 skipped
+        ("a b a d b d", 1),  # gcd 2: the k = 2 candidate a b d fails
+    ])
+    def test_root_search_canonicalizes_only_for_the_count_gcd(
+            self, p4, monkeypatch, text, calls):
+        # once per divisor of the gcd of the letter counts per generator
+        # that is tried (u^k), never once per linearization prefix
+        codes = normal_form(w(p4, text))._codes
+        seen = []
+        canonicalize = words.kernels.canonicalize
+        monkeypatch.setattr(words.kernels, "canonicalize",
+                            lambda data, masks: seen.append(data)
+                            or canonicalize(data, masks))
+        root = words._root(p4, codes)
+        assert len(seen) == calls
+        assert root == primitive_root(w(p4, text))
 
 
 def _choice_tree_size(codes, m, masks):
