@@ -217,21 +217,6 @@ def power(w: Word, k: int) -> Word:
     return _built(Word, w.graph, codes * abs(k))
 
 
-def _first_movable(codes, masks) -> dict:
-    """Letter code -> first position that can be shuffled to the front."""
-    full = (1 << len(masks)) - 1
-    out = {}
-    bad = 0
-    for p, x in enumerate(codes):
-        g = x >> 1
-        if not (bad >> g) & 1 and x not in out:
-            out[x] = p
-        bad |= full & ~masks[g]
-        if bad == full:
-            break
-    return out
-
-
 def _unblocked(order, block, full) -> int:
     """Bitmask of the generators in `order` (pairs (key, generator), first
     letter first) that no earlier generator in it blocks."""
@@ -352,23 +337,37 @@ def cyclically_reduce(w: Word) -> Tuple[NormalForm, Word]:
     return _built(NormalForm, w.graph, rest), _built(Word, w.graph, conj)
 
 
-def _divisors_descending(n: int):
-    return [k for k in range(n, 1, -1) if n % k == 0]
-
-
 def _count_choice_tree(codes, m: int, masks) -> None:
     """Count the nodes of the choice tree that takes one front-movable
     letter off what remains of a reduced word at each node, down to depth
     m, level by level once per distinct remainder with the number of paths
     reaching it (each edge out of it adds that many). BudgetExceededError is
     raised as soon as the count passes MAX_LINEARIZATIONS: exactly when the
-    whole tree is larger."""
+    whole tree is larger.
+
+    The tree to a smaller depth is the top levels of this one, counted in
+    the same order, so its running counts are a prefix of this one's: a
+    single count to the deepest depth of several raises exactly when the
+    first of the shallower counts, made in turn, would, at the same count.
+    A generator's first letter is movable when no earlier letter blocks it;
+    its later letters never are, as a generator blocks itself.
+    """
     cap = MAX_LINEARIZATIONS
+    full = (1 << len(masks)) - 1
+    block = [full & ~b for b in masks]  # non-neighbours and the generator
+    if len(masks) <= 128:  # every code fits a byte, and bytes slice faster
+        codes = bytes(codes)
     level, nodes = {codes: 1}, 1
     for depth in range(m):
         below = {}
         for rest, paths in level.items():
-            moves = _first_movable(rest, masks).values()
+            moves, bad = [], 0
+            for p, x in enumerate(rest):
+                if not bad >> (x >> 1) & 1:
+                    moves.append(p)
+                bad |= block[x >> 1]
+                if bad == full:
+                    break
             nodes += paths * len(moves)
             if nodes > cap:
                 raise BudgetExceededError(
@@ -385,10 +384,11 @@ def primitive_root(w) -> Tuple[NormalForm, int]:
     """Largest k with w = root^k, for a cyclically reduced w whose support
     does not split as a join.
 
-    The root is read off the letter counts (`_root`); the choice tree of
-    linearization prefixes is only counted: more than MAX_LINEARIZATIONS
-    nodes in the tree of one exponent, from the largest down to the one
-    found, raise BudgetExceededError.
+    The root is read off the letter counts (`_root`). The choice tree of
+    linearization prefixes is then counted once, as the refusal rule: more
+    than MAX_LINEARIZATIONS nodes in the tree to depth n/j, for some divisor
+    j >= 2 of the length n down to the exponent found, raise
+    BudgetExceededError. Those trees nest, so only the deepest is counted.
     """
     g = w.graph
     masks = g.masks
@@ -406,34 +406,43 @@ def primitive_root(w) -> Tuple[NormalForm, int]:
 def _root(g: SimplicialGraph, codes) -> Tuple[NormalForm, int]:
     """`primitive_root` of the normal form `codes` (w), unchecked.
 
-    For each divisor k of the length n, from the largest down, the choice
-    tree to depth n/k is counted (it may refuse); then, if k divides d, the
-    gcd of the letter counts per generator, the candidate u, the first
-    count/k letters of each generator in w's order, is the root when u^k
-    canonicalizes to w. If p^k = w, then k divides d, and as two letters of
-    one generator never swap, the first copy of p in p^k is an order ideal
-    of w's heap holding just those letters. The normal form w is the heap's
-    greedy lex-least linearization, which restricted to an order ideal is
-    the ideal's own (its letters wait only for each other): u is nf(p).
+    First the answer. For each divisor j >= 2 of d, the gcd of the letter
+    counts per generator, from the largest down, the candidate u, the first
+    count/j letters of each generator in w's order, is the root when u^j
+    canonicalizes to w; if no j fits, w is its own root (k = 1). If p^k = w,
+    then k divides d, and as two letters of one generator never swap, the
+    first copy of p in p^k is an order ideal of w's heap holding just those
+    letters. The normal form w is the heap's greedy lex-least
+    linearization, which restricted to an order ideal is the ideal's own
+    (its letters wait only for each other): u is nf(p).
+
+    Then the refusal, once: the choice tree to depth n/j0, for j0 the least
+    divisor of the length n with j0 >= max(k, 2). It holds the trees of
+    every divisor of n from n down to j0 as its top levels
+    (`_count_choice_tree`), so it refuses exactly the words a count per
+    divisor would. A one-letter word counts no tree.
     """
     n = len(codes)
     counts = Counter(x >> 1 for x in codes)
     d = gcd(*counts.values())
-    piece = bytes(codes) if len(g.masks) <= 128 else codes  # faster to count
-    for k in _divisors_descending(n):
-        _count_choice_tree(piece, n // k, g.masks)
-        if d % k:
+    root, k = codes, 1
+    for j in range(d, 1, -1):
+        if d % j:
             continue
-        left = {h: c // k for h, c in counts.items()}
+        left = {h: c // j for h, c in counts.items()}
         u = []
         for x in codes:
             if left[x >> 1]:
                 left[x >> 1] -= 1
                 u.append(x)
         u = tuple(u)
-        if kernels.canonicalize(u * k, g.masks) == codes:
-            return _built(NormalForm, g, u), k
-    return _built(NormalForm, g, codes), 1
+        if kernels.canonicalize(u * j, g.masks) == codes:
+            root, k = u, j
+            break
+    if n > 1:
+        j0 = next(j for j in range(max(k, 2), n + 1) if n % j == 0)
+        _count_choice_tree(codes, n // j0, g.masks)
+    return _built(NormalForm, g, root), k
 
 
 @dataclass(frozen=True)

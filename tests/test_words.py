@@ -288,6 +288,34 @@ class TestPrimitiveRoot:
         assert str(info.value) == "linearization enumeration exceeded 64 steps"
         assert (info.value.consumed, info.value.limit) == (65, 64)
 
+    @pytest.mark.parametrize("text, depths", [
+        ("a c a c", [2]),  # k = 2: the trees to depths 1 and 2 nest
+        ("a d a d a d", [2]),  # k = 3 of n = 6
+        ("a b c b d c a d b c d c", [6]),  # primitive: least divisor 2
+        ("a c c a c", [1]),  # primitive, prime length: depth 1
+        ("a c a c a c a c c", [3]),  # primitive, n = 9: least divisor 3
+        ("a", []),  # one letter: no tree
+    ])
+    def test_root_counts_one_choice_tree(self, p4, monkeypatch, text, depths):
+        # the deepest tree holds every shallower one as its top levels, so
+        # the refusal rule counts it alone
+        seen = []
+        count = words._count_choice_tree
+        monkeypatch.setattr(words, "_count_choice_tree",
+                            lambda codes, m, masks: seen.append(m)
+                            or count(codes, m, masks))
+        primitive_root(w(p4, text))
+        assert seen == depths
+
+    def test_refusal_edges(self, p4, monkeypatch):
+        monkeypatch.setattr(words, "MAX_LINEARIZATIONS", 1)
+        root, k = primitive_root(w(p4, "a"))
+        assert (str(root), k) == ("a", 1)
+        # prime length 2: the tree to depth 1, the root and its one move
+        with pytest.raises(BudgetExceededError) as info:
+            primitive_root(w(p4, "a c"))
+        assert (info.value.consumed, info.value.limit) == (2, 1)
+
     @pytest.mark.parametrize("text, calls", [
         ("a b c b d c a d b c d c", 0),  # letter counts 2, 3, 4, 3: gcd 1
         ("a b c d a b c d a b c d a b c d", 1),  # gcd 4: k = 4 answers
