@@ -16,8 +16,9 @@ import sys
 
 from .errors import (BudgetExceededError, DomainError, GraphParseError,
                      GraphValidationError, InvariantViolationError)
-from .graphs import (clique_separators, connected_components, hanging_vertices,
-                     induced_subgraph, is_complete, join_factors, parse_graph)
+from .graphs import (_full_mask, _sorted_edges, clique_separators,
+                     connected_components, hanging_vertices, induced_subgraph,
+                     is_complete, join_factors, parse_graph)
 from .jsj import abelian_jsj, gog_to_dot, gog_to_json_obj, relative_jsj, validate
 from .words import (centralizer_descriptor, cyclically_reduce, normal_form,
                     parse_word, support, word_text)
@@ -126,7 +127,7 @@ def _cmd_analyze(args) -> int:
             key=lambda t: (len(t), t))
     _emit({
         "vertices": list(g.vertices),
-        "edges": sorted(list(e) for e in g.edges),
+        "edges": [list(e) for e in _sorted_edges(g, _full_mask(g))],
         "is_connected": connected,
         "is_complete": is_complete(g),
         "components": [list(c) for c in comps],

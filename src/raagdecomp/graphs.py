@@ -36,18 +36,22 @@ MAX_MASK_BITS = 2 ** 31
 class SimplicialGraph:
     """Immutable finite simple graph with string-named vertices.
 
-    Vertices are kept sorted; each edge is stored once as an ordered pair.
-    `masks[i]` is the bitmask of the neighbours of the i-th vertex, bit j
-    standing for the j-th: the graph's one adjacency, built with it.
+    Vertices are kept sorted. `masks[i]` is the bitmask of the neighbours
+    of the i-th vertex, bit j standing for the j-th: the graph's one
+    adjacency, built with it, and what `==` and `hash` compare. `edges`,
+    each edge once as a name pair in sorted order, is built on first read
+    from the checked input pairs, not from the masks.
     `_memo` keeps, unmutated, what `_memoized` functions return for this
-    object while it lives: the word alphabet, MCS-M+ per vertex mask, the
-    hanging vertices, the splitting tree; equal graphs built apart share none.
+    object while it lives: the edge set, the word alphabet and letter
+    table, MCS-M+ per vertex mask, the hanging vertices, the splitting
+    tree; equal graphs built apart share none.
     Construction validates simplicity (no self-loops, no duplicate vertices,
     edge endpoints declared), that every name has a UTF-8 form, and that
     the masks fit in MAX_MASK_BITS bits, counted first (else DomainError).
+    Each edge is checked once; vertices and edges may be one-shot iterables.
     """
 
-    __slots__ = ("vertices", "edges", "masks", "_index", "_memo")
+    __slots__ = ("vertices", "masks", "_index", "_pairs", "_memo")
 
     def __init__(self, vertices, edges):
         vs = list(vertices)
@@ -62,11 +66,12 @@ class SimplicialGraph:
             raise GraphValidationError("duplicate vertex: %s" % ", ".join(dup))
         self.vertices = tuple(sorted(vs))
         idx = self._index = {v: i for i, v in enumerate(self.vertices)}
-        pairs = {}  # (i, j) with i < j -> the edge's names
+        get = idx.get
+        pairs = self._pairs = []  # the index pair of each input edge
         for e in edges:
             try:
                 u, v = e
-                i, j = idx.get(u), idx.get(v)
+                i, j = get(u), get(v)
             except (TypeError, ValueError):
                 raise GraphValidationError(
                     "each edge must be a pair of vertex names, got %r" % (e,)) from None
@@ -76,25 +81,26 @@ class SimplicialGraph:
                 raise GraphValidationError("edge endpoint %r is not a declared vertex" % (v,))
             if i == j:
                 raise GraphValidationError("self-loop at vertex %r" % (u,))
-            if i < j:
-                pairs[i, j] = u, v
-            else:
-                pairs[j, i] = v, u
-        if len(vs) ** 2 > MAX_MASK_BITS:  # else the masks cannot pass it
-            top = [-1] * len(vs)  # highest neighbour of each vertex
+            pairs.append((i, j))
+        n = len(vs)
+        if n * n > MAX_MASK_BITS:  # else the masks cannot pass it
+            top = [-1] * n  # highest neighbour of each vertex
             for i, j in pairs:
                 top[i], top[j] = max(top[i], j), max(top[j], i)
-            bits = sum(top) + len(top)
+            bits = sum(top) + n
             if bits > MAX_MASK_BITS:
                 raise DomainError("adjacency masks would take %d bits, more "
                                   "than %d" % (bits, MAX_MASK_BITS))
-        masks = [0] * len(vs)
+        masks = [0] * n
         for i, j in pairs:
             masks[i] |= 1 << j
             masks[j] |= 1 << i
-        self.edges = frozenset(pairs.values())
         self.masks = tuple(masks)
         self._memo = {}
+
+    @property
+    def edges(self):
+        return _edge_set(self)
 
     def neighbors(self, v):
         return frozenset(_names(self.vertices, self.masks[self.index(v)]))
@@ -112,14 +118,14 @@ class SimplicialGraph:
     def __eq__(self, other):
         if not isinstance(other, SimplicialGraph):
             return NotImplemented
-        return self.vertices == other.vertices and self.edges == other.edges
+        return self.vertices == other.vertices and self.masks == other.masks
 
     def __hash__(self):
-        return hash((self.vertices, self.edges))
+        return hash((self.vertices, self.masks))
 
     def __repr__(self):
         return "SimplicialGraph(%d vertices, %d edges)" % (
-            len(self.vertices), len(self.edges))
+            len(self.vertices), _edge_count(self.masks))
 
 
 def _memoized(compute):
@@ -131,6 +137,18 @@ def _memoized(compute):
             g._memo[key] = compute(g, *args)
         return g._memo[key]
     return once
+
+
+@_memoized
+def _edge_set(g):
+    """`g.edges`: the input's name pairs, each in sorted order."""
+    vs = g.vertices
+    return frozenset((vs[i], vs[j]) if i < j else (vs[j], vs[i])
+                     for i, j in g._pairs)
+
+
+def _edge_count(masks):
+    return sum(m.bit_count() for m in masks) // 2
 
 
 def parse_graph(text):
@@ -166,10 +184,10 @@ def _parse_json(text):
             raise GraphParseError("missing %r key" % key)
         if not isinstance(obj[key], list):
             raise GraphParseError("%r must be a list" % key)
-    for e in obj["edges"]:
-        if not isinstance(e, list) or len(e) != 2:
+    for e in obj["edges"]:  # json.loads builds no subclasses: type tests are exact
+        if type(e) is not list or len(e) != 2:
             raise GraphParseError("each edge must be a two-element list, got %r" % (e,))
-        if not (isinstance(e[0], str) and isinstance(e[1], str)):
+        if type(e[0]) is not str or type(e[1]) is not str:
             raise GraphParseError("edge endpoints must be vertex name strings, got %r" % (e,))
     return SimplicialGraph(obj["vertices"], obj["edges"])
 
@@ -261,15 +279,15 @@ def _parse_dot(text):
 def serialize_graph(g):
     """Canonical single-line JSON form; parse(serialize(g)) == g, and
     serializing a parsed canonical string reproduces it byte for byte."""
-    return json.dumps(
-        {"vertices": list(g.vertices), "edges": [list(e) for e in sorted(g.edges)]})
+    return json.dumps({"vertices": list(g.vertices),
+                       "edges": [list(e) for e in _sorted_edges(g, _full_mask(g))]})
 
 
 def graph_to_dot(g):
     lines = ["graph G {"]
     for v in g.vertices:
         lines.append("  %s;" % _dot_name(v))
-    for u, v in sorted(g.edges):
+    for u, v in _sorted_edges(g, _full_mask(g)):
         lines.append("  %s -- %s;" % (_dot_name(u), _dot_name(v)))
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -289,11 +307,15 @@ def _dot_escape(text):
 def induced_subgraph(g, s):
     """Full subgraph on the vertex set `s` (every edge of g inside s)."""
     m = _vertex_mask(g, s)
-    vs = g.vertices
-    members = _names(range(len(vs)), m)
-    # each edge once, from its lower end: -(2 << i) clears bits 0..i
-    return SimplicialGraph([vs[i] for i in members], [
-        (vs[i], v) for i in members for v in _names(vs, g.masks[i] & m & -(2 << i))])
+    return SimplicialGraph(_names(g.vertices, m), _sorted_edges(g, m))
+
+
+def _sorted_edges(g, m):
+    """The edges of g inside the vertex mask `m` as name pairs, in sorted
+    order: each once, from its lower end (-(2 << i) clears bits 0..i)."""
+    vs, masks = g.vertices, g.masks
+    return [(vs[i], v) for i in _names(range(len(vs)), m)
+            for v in _names(vs, masks[i] & m & -(2 << i))]
 
 
 def link(g, s):

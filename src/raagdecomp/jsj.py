@@ -17,9 +17,9 @@ from typing import List, Optional, Tuple
 from .errors import DomainError, InvariantViolationError, RaagError
 from .graphs import (SimplicialGraph, _clique_mask,
                      _clique_minimal_separators, _component_masks,
-                     _dot_escape, _full_mask, _mcs_m, _memoized, _names,
-                     _splits, _vertex_mask, hanging_vertices, is_clique,
-                     is_connected, link, star)
+                     _dot_escape, _edge_count, _full_mask, _mcs_m, _memoized,
+                     _names, _splits, _vertex_mask, hanging_vertices,
+                     is_clique, is_connected, link, star)
 
 
 @dataclass(frozen=True)
@@ -644,7 +644,7 @@ def _certified(gog):
         for v in _names(range(n), new):
             inside += 2 * (masks[v] & bag).bit_count() \
                 - (masks[v] & new).bit_count()
-    if covered != _full_mask(base) or inside != 2 * len(base.edges):
+    if covered != _full_mask(base) or inside != 2 * _edge_count(masks):
         return False
     for x in reversed(order[1:]):
         p, group = up[x]

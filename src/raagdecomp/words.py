@@ -16,7 +16,7 @@ from bisect import insort
 from collections import Counter, namedtuple
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from itertools import chain, compress, count
 from math import gcd
 import re
 from typing import Iterable, Tuple
@@ -92,7 +92,7 @@ def _built(cls, graph, codes: Tuple[int, ...]):
     return obj
 
 
-_Alphabet = namedtuple("_Alphabet", "code letter text")
+_Alphabet = namedtuple("_Alphabet", "code text")
 _NAME = re.compile(r"[A-Za-z0-9_]+\Z")
 _TOKEN = re.compile(r"([A-Za-z0-9_]+)(?:\^([+-]?[0-9]+))?\Z")
 
@@ -100,13 +100,22 @@ _TOKEN = re.compile(r"([A-Za-z0-9_]+)(?:\^([+-]?[0-9]+))?\Z")
 @_memoized
 def _alphabet(graph: SimplicialGraph) -> _Alphabet:
     """The graph's one alphabet, built on first use: `code` maps the tokens
-    `v` and `v^-1` of the generators with token names to codes, `letter`
-    and `text` give each code's letter and token text."""
+    `v` and `v^-1` of the generators with token names to codes, and `text`
+    gives each code's token text. Names are never empty, so all are token
+    names exactly when their join is one."""
     vs = graph.vertices
-    named = list(map(_NAME.match, vs))
-    texts = tuple(t for v in vs for t in (v, v + "^-1"))
-    return _Alphabet({t: c for c, t in enumerate(texts) if named[c >> 1]},
-                     tuple((v, s) for v in vs for s in (1, -1)), texts)
+    texts = tuple(chain.from_iterable(zip(vs, [v + "^-1" for v in vs])))
+    if _NAME.match("".join(vs)):
+        code = dict(zip(texts, count()))
+    else:
+        code = {t: c for c, t in enumerate(texts) if _NAME.match(vs[c >> 1])}
+    return _Alphabet(code, texts)
+
+
+@_memoized
+def _letters(graph: SimplicialGraph) -> Tuple[Letter, ...]:
+    """Each code's letter, built on the first decode; no command decodes."""
+    return tuple((v, s) for v in graph.vertices for s in (1, -1))
 
 
 # Most letters a parsed word or a power may expand to. Each expanded letter
@@ -176,7 +185,7 @@ def _encode(graph: SimplicialGraph, letters: Iterable[Letter]) -> Tuple[int, ...
 
 
 def _decode(graph: SimplicialGraph, codes) -> Tuple[Letter, ...]:
-    return tuple(map(_alphabet(graph).letter.__getitem__, codes))
+    return tuple(map(_letters(graph).__getitem__, codes))
 
 
 def _canonical_codes(w) -> Tuple[int, ...]:

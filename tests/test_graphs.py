@@ -1,17 +1,22 @@
 import doctest
+import io
+import json
 import random
 
 import pytest
 
 import raagdecomp.graphs
 from raagdecomp import (DomainError, GraphParseError, GraphValidationError,
-                        SimplicialGraph, clique_separators,
-                        connected_components, graph_to_dot, hanging_vertices,
-                        induced_subgraph, is_clique, is_complete, is_connected,
-                        join_factors, link, minimum_clique_separator,
-                        parse_graph, serialize_graph, star)
+                        SimplicialGraph, centralizer_descriptor,
+                        clique_separators, connected_components, graph_to_dot,
+                        hanging_vertices, induced_subgraph, is_clique,
+                        is_complete, is_connected, join_factors, link,
+                        minimum_clique_separator, normal_form, parse_graph,
+                        parse_word, serialize_graph, star)
+from raagdecomp.cli import main
 
 from conftest import random_connected_graph
+import golden
 
 
 def test_docstring_examples():
@@ -80,6 +85,86 @@ class TestConstruction:
         # an input refused for its edges keeps its message
         with pytest.raises(GraphValidationError, match="'zz' is not a decl"):
             SimplicialGraph(names, path + [("v00", "zz")])
+
+    @pytest.mark.parametrize("cap", [None, 1000])
+    def test_generators_build_what_lists_build(self, monkeypatch, cap):
+        # at a cap of 1000 bits the 43 vertices take the counted path
+        # (43^2 > 1000): the path takes 987 bits, and v05 -- v00 4 more
+        if cap is not None:
+            monkeypatch.setattr(raagdecomp.graphs, "MAX_MASK_BITS", cap)
+        names = ["v%02d" % i for i in range(43)]
+        edges = list(zip(names, names[1:])) + [("v05", "v00"), ("v01", "v00")]
+        listed = SimplicialGraph(names, edges)
+        once = SimplicialGraph(iter(names[::-1]), (e for e in edges))
+        assert once.masks == listed.masks
+        assert once.edges == listed.edges == {tuple(sorted(e)) for e in edges}
+        assert once == listed and hash(once) == hash(listed)
+
+    def test_an_edge_and_its_reverse_are_one_edge(self):
+        g = SimplicialGraph(("a", "b"), [("a", "b"), ("b", "a")])
+        assert g.masks == (0b10, 0b01)
+        assert g.edges == frozenset({("a", "b")})
+        assert g == SimplicialGraph(("b", "a"), [("b", "a")])
+        assert repr(g) == "SimplicialGraph(2 vertices, 1 edges)"
+        assert parse_graph(
+            '{"vertices": ["a", "b"], "edges": [["a", "b"], ["b", "a"]]}') == g
+
+    def test_edges_are_the_input_pairs(self):
+        for _, g in golden.corpus():
+            text = serialize_graph(g)
+            pairs = {tuple(e) for e in json.loads(text)["edges"]}
+            assert parse_graph(text).edges == pairs == g.edges
+        rng = random.Random(25)
+        names = ["x%d" % i for i in range(12)] + ["é", "_", "B"]
+        for _ in range(200):
+            vs = rng.sample(names, rng.randrange(1, len(names) + 1))
+            edges = [tuple(rng.sample(vs, 2)) for _ in range(
+                rng.randrange(3 * len(vs))) if len(vs) > 1]
+            g = SimplicialGraph(vs, edges)
+            assert g.edges == {tuple(sorted(e)) for e in edges}
+            assert all(g.adjacent(u, v) and g.adjacent(v, u) for u, v in g.edges)
+            assert sum(map(len, map(g.neighbors, vs))) == 2 * len(g.edges)
+            # one edge fewer, or one more, is another graph
+            if g.edges:
+                gone = rng.choice(sorted(g.edges))
+                assert SimplicialGraph(vs, [e for e in edges if
+                                            tuple(sorted(e)) != gone]) != g
+            missing = [(u, v) for u in g.vertices for v in g.vertices
+                       if u < v and (u, v) not in g.edges]
+            if missing:
+                assert SimplicialGraph(vs, edges + [rng.choice(missing)]) != g
+
+    def test_word_calls_leave_the_edge_set_and_letters_unbuilt(self):
+        # the edge set and the letter table are kept in the memo once
+        # read; nothing on the command line's word path reads them
+        g = parse_graph("graph { a -- b; b -- c; c -- d; a -- d; d -- e }")
+        w = parse_word(g, "e a b a^-1 e^-1")
+        d = centralizer_descriptor(w, mode="pro-C")
+        printed = [str(normal_form(w)), str(d.conjugator)] + [
+            str(f.root) for f in d.factors]
+        assert printed == ["e b e^-1", "e", "b"]
+        assert ("_edge_set",) not in g._memo and ("_letters",) not in g._memo
+        assert w.letters == (("e", 1), ("a", 1), ("b", 1), ("a", -1),
+                             ("e", -1))
+        assert ("_letters",) in g._memo
+        assert g.edges == {("a", "b"), ("b", "c"), ("c", "d"), ("a", "d"),
+                           ("d", "e")}
+        assert ("_edge_set",) in g._memo
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "-"], ["jsj", "-"], ["jsj", "-", "--mode", "abelian"],
+        ["jsj", "-", "--format", "dot"],
+        ["element", "-", "--word", "a c a^-1", "--op", "centralizer"]])
+    def test_commands_leave_the_edge_set_unbuilt(self, monkeypatch, capsys,
+                                                 argv):
+        def unread(g):
+            raise AssertionError("the edge set was built")
+        monkeypatch.setattr(raagdecomp.graphs, "_edge_set", unread)
+        monkeypatch.setattr("sys.stdin", io.StringIO(
+            '{"vertices": ["a", "b", "c", "d"], '
+            '"edges": [["a", "b"], ["b", "c"], ["c", "d"], ["b", "d"]]}'))
+        assert main(argv) == 0
+        assert capsys.readouterr().out
 
     def test_adjacency_of_unknown_vertices(self, p4):
         for ask in (lambda: p4.adjacent("z", "a"), lambda: p4.neighbors("z"),
@@ -169,6 +254,66 @@ class TestParsing:
     def test_dot_trailing_text(self):
         with pytest.raises(GraphParseError, match="after closing"):
             parse_graph("graph { a } extra")
+
+
+# Inputs with two faults each and the one message they raise, recorded
+# before graph set-up became one pass over the edges: JSON shape faults come
+# before any vertex fault, then vertices before edges, then edges in order
+TWO_FAULT_TEXTS = [
+    ('{"vertices": ["a", "b"], "edges": [["a", 1], ["a", "b", "c"]]}',
+     GraphParseError, "edge endpoints must be vertex name strings, got ['a', 1]"),
+    ('{"vertices": ["a", "b"], "edges": [["a", "b", "c"], ["a", 1]]}',
+     GraphParseError, "each edge must be a two-element list, got ['a', 'b', 'c']"),
+    ('{"vertices": [3, "b"], "edges": [["a"]]}',
+     GraphParseError, "each edge must be a two-element list, got ['a']"),
+    ('{"vertices": ["a", ""], "edges": [{"a": 1, "b": 2}]}',
+     GraphParseError, "each edge must be a two-element list, got {'a': 1, 'b': 2}"),
+    ('{"vertices": "ab", "edges": 3}',
+     GraphParseError, "'vertices' must be a list"),
+    ('{"vertices": ["a", "a"], "edges": [["a", "z"]]}',
+     GraphValidationError, "duplicate vertex: a"),
+    ('{"vertices": ["a", "\\ud800"], "edges": [["a", "a"]]}',
+     GraphValidationError,
+     "vertex name '\\ud800' holds a lone surrogate, which has no UTF-8 form"),
+    ('{"vertices": ["a", "b"], "edges": [["a", "z"], ["b", "b"]]}',
+     GraphValidationError, "edge endpoint 'z' is not a declared vertex"),
+    ('{"vertices": ["a", "b"], "edges": [["b", "b"], ["a", "z"]]}',
+     GraphValidationError, "self-loop at vertex 'b'"),
+    ("graph { a -- a; x -- \xe9 }", GraphParseError, "invalid DOT token '\xe9'"),
+    ('graph { a -- a -- b; "q }', GraphParseError, "unterminated quoted name"),
+    ('graph { a -- a; "\ud800" }', GraphValidationError,
+     "vertex name '\\ud800' holds a lone surrogate, which has no UTF-8 form"),
+]
+
+TWO_FAULT_CALLS = [
+    (["a", "b"], [("a", "z"), ("b", "b")],
+     "edge endpoint 'z' is not a declared vertex"),
+    (["a", "b"], [("b", "b"), ("a", "z")], "self-loop at vertex 'b'"),
+    (["a", "b"], [("z", "z")], "edge endpoint 'z' is not a declared vertex"),
+    (["a", "b"], [("a", "b"), ("y", "z")],
+     "edge endpoint 'y' is not a declared vertex"),
+    (["a", "b"], [("z", ["a"])],
+     "each edge must be a pair of vertex names, got ('z', ['a'])"),
+    (["a", "b"], [("a", "b", "c"), ("a", "z")],
+     "each edge must be a pair of vertex names, got ('a', 'b', 'c')"),
+    (["a", 3], [("a", "a")], "vertex names must be non-empty strings, got 3"),
+    (["a", "a", ""], [("a", "a")],
+     "vertex names must be non-empty strings, got ''"),
+]
+
+
+class TestErrorPrecedence:
+    @pytest.mark.parametrize("text, error, message", TWO_FAULT_TEXTS)
+    def test_parsed(self, text, error, message):
+        with pytest.raises(error) as info:
+            parse_graph(text)
+        assert type(info.value) is error and str(info.value) == message
+
+    @pytest.mark.parametrize("vertices, edges, message", TWO_FAULT_CALLS)
+    def test_constructed(self, vertices, edges, message):
+        with pytest.raises(GraphValidationError) as info:
+            SimplicialGraph(vertices, edges)
+        assert str(info.value) == message
 
 
 class TestStructure:

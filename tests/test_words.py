@@ -19,6 +19,16 @@ class TestParsing:
         assert w(p4, "a^-2").letters == (("a", -1), ("a", -1))
         assert w(p4, "").letters == ()
 
+    def test_only_token_names_enter_the_alphabet(self):
+        # beside names the token pattern refuses, "a^-1" still spells a's
+        # inverse and not the generator named "a^-1"
+        g = SimplicialGraph(("a", "a^-1", "b-c", "d"), [])
+        assert w(g, "a^-1 d a").letters == (("a", -1), ("d", 1), ("a", 1))
+        for tok in ("b-c", "b-c^-1"):
+            with pytest.raises(DomainError, match="malformed word token"):
+                w(g, tok)
+        assert str(w(g, "d^-1 a")) == "d^-1 a"
+
     def test_unknown_generator(self, p4):
         with pytest.raises(DomainError, match="'z'"):
             w(p4, "a z")
