@@ -5,7 +5,11 @@ breadth-first move closures for word equality, whole words for centralizer
 balls. None of it shares logic with the production code paths; that
 independence is the point. The centralizer ball runs a closure only for
 the words that the subgroup rule of `commuting_words` leaves open, so its
-verdicts too come from the closures and the group axioms alone.
+verdicts too come from the closures and the group axioms alone. A rigid
+word, one where no two adjacent letters cancel or commute, admits no move
+and is its own closure: the oracles decide it by its letters, with no
+closure call, which can change no refusal since such a closure adds no
+state.
 All enumeration is guarded by an `OracleBudget`, and hitting a cap raises
 `BudgetExceededError` naming the offending dimension.
 """
@@ -125,10 +129,31 @@ def _byte_codes(g, w) -> bytes:
     return bytes(w._codes)
 
 
+@functools.lru_cache(maxsize=32)
+def _moves(masks):
+    """`moves[x][y]` is 1 when the adjacent letters x y admit an
+    elementary move (they cancel, or they are distinct commuting
+    generators) and 0 when not: one bytes row per letter, cached per
+    `masks` tuple. Adjacency is symmetric, so the table is too."""
+    size = 2 * len(masks)
+    return tuple(bytes(x == y ^ 1 or (masks[x >> 1] >> (y >> 1)) & 1
+                       for y in range(size)) for x in range(size))
+
+
+def _rigid(moves, s) -> bool:
+    """True when `s` is rigid: no adjacent pair of it admits a move, so
+    its closure is s alone and s is its own canonical form."""
+    return not any(moves[x][y] for x, y in zip(s, s[1:]))
+
+
 def bfs_equal(w1: Word, w2: Word, budget: Optional[OracleBudget] = None) -> bool:
     """Equality by breadth-first closure under the two elementary moves
     (swap adjacent commuting letters, delete an adjacent inverse pair):
-    the closures of equal words meet, those of distinct words never do."""
+    the closures of equal words meet, those of distinct words never do.
+    Two rigid words (no move applies to either) are their own closures,
+    so they are equal exactly when their letters are, and get no closure
+    call; a one-word closure holds no state beyond its start, so the
+    call skipped could not have exceeded `max_states`."""
     budget = budget or OracleBudget()
     _same_graph(w1, w2)
     combined = len(w1._codes) + len(w2._codes)
@@ -140,14 +165,19 @@ def bfs_equal(w1: Word, w2: Word, budget: Optional[OracleBudget] = None) -> bool
             limit=2 * budget.max_word_length)
     g = w1.graph
     a, b = _byte_codes(g, w1), _byte_codes(g, w2)
+    moves = _moves(g.masks)
+    if _rigid(moves, a) and _rigid(moves, b):
+        return a == b
     return kernels.closure_equal(a, b, g.masks, budget.max_states)
 
 
 @functools.lru_cache(maxsize=32)
 def _balls(g: SimplicialGraph, max_states: int):
-    """The balls of `g` grown so far, indexed by radius; `_enumerated_ball`
-    appends to it. Cached per (graph, state cap)."""
-    return [(b"",)]
+    """The balls of `g` grown so far, indexed by radius, and a rigid flag
+    for each word of the largest; `_grown_ball` appends to both. Each ball
+    starts with the one before it, so the flags serve every radius.
+    Cached per (graph, state cap), the flags evicted with the balls."""
+    return [(b"",)], bytearray(b"\x01")
 
 
 def _enumerated_ball(g: SimplicialGraph, max_len: int, max_states: int):
@@ -157,31 +187,51 @@ def _enumerated_ball(g: SimplicialGraph, max_len: int, max_states: int):
     ball plus each of its longest words extended by one letter, a candidate
     kept exactly when the breadth-first closure confirms it is its own
     shortlex-least geodesic. The extensions of a sorted level, taken in
-    letter order, come out sorted. Each radius is grown once per (graph,
-    state cap) and reused by every larger one. A candidate's closure that
-    exceeds the cap raises, whatever order the candidates are tried in,
-    and leaves the radii already grown in place.
+    letter order, come out sorted. A rigid candidate, one that no move
+    applies to, is its own closure and so kept with no closure call: it
+    is rigid when its prefix is and its last two letters neither cancel
+    nor commute. Each radius is grown once per (graph, state cap) and
+    reused by every larger one. A candidate's closure that exceeds the
+    cap raises, whatever order the candidates are tried in, and leaves the
+    radii already grown in place; a rigid candidate's closure holds one
+    word, never more than the cap, so skipping it changes no refusal.
     """
-    balls = _balls(g, max_states)
-    if max_len < len(balls):
-        return balls[max_len]
+    return _grown_ball(g, max_len, max_states)[0]
+
+
+def _grown_ball(g: SimplicialGraph, max_len: int, max_states: int):
+    """`_enumerated_ball(g, max_len, max_states)` and the rigid flags: the
+    i-th byte is 1 when the ball's i-th word is rigid, and the flags may
+    run past the ball."""
+    levels, rigid = _balls(g, max_states)
+    if max_len < len(levels):
+        return levels[max_len], rigid
     masks = g.masks
-    letters = [bytes((x,)) for x in range(2 * len(g.vertices))]
-    # what may follow the letter y in a canonical word: neither y's
-    # inverse nor a smaller letter that commutes with y
-    follow = [[x for x in letters if x[0] != y ^ 1
-               and not (x[0] < y and (masks[y >> 1] >> (x[0] >> 1)) & 1)]
-              for y in range(len(letters))]
-    while len(balls) <= max_len:
-        inner = balls[-1]
+    moves = _moves(masks)
+    # what may follow the letter y in a canonical word, neither y's
+    # inverse nor a smaller letter that commutes with y, each with 1 when
+    # the pair y x admits a move; a single letter is rigid
+    follow = [[(bytes((x,)), row[x]) for x in range(len(row))
+               if x != y ^ 1 and not (x < y and row[x])]
+              for y, row in enumerate(moves)]
+    first = [(bytes((x,)), 0) for x in range(len(moves))]
+    while len(levels) <= max_len:
+        inner = levels[-1]
         out = list(inner)
-        for prefix in inner[bisect_left(inner, len(balls) - 1, key=len):]:
-            for x in follow[prefix[-1]] if prefix else letters:
+        flags = bytearray()
+        start = bisect_left(inner, len(levels) - 1, key=len)
+        for prefix, rig in zip(inner[start:], rigid[start:]):
+            for x, move in follow[prefix[-1]] if prefix else first:
                 cand = prefix + x
-                if kernels.closure_canonical(cand, masks, max_states) == cand:
+                if rig and not move:
                     out.append(cand)
-        balls.append(tuple(out))
-    return balls[max_len]
+                    flags.append(1)
+                elif kernels.closure_canonical(cand, masks, max_states) == cand:
+                    out.append(cand)
+                    flags.append(0)
+        levels.append(tuple(out))
+        rigid += flags
+    return levels[max_len], rigid
 
 
 def commuting_words(g: SimplicialGraph, w: Word, max_len: int,
@@ -192,8 +242,9 @@ def commuting_words(g: SimplicialGraph, w: Word, max_len: int,
 
     The words commuting with w form a subgroup, so when one part of a split
     u = a*b commutes with w, u commutes exactly when the other part does;
-    the closure oracle decides only the words with no such split (the empty
-    word and single letters among them). For the same reason u^-1 commutes
+    the closure oracle decides only the words with no such split (single
+    letters among them; the empty word, the identity, commutes with
+    every w). For the same reason u^-1 commutes
     exactly when u does: when a closure finds that u does not, u^-1 is
     marked as not commuting and gets no closure of its own. Its canonical
     form is the closure-least spelling of u's reversed, inverted letters,
@@ -201,7 +252,16 @@ def commuting_words(g: SimplicialGraph, w: Word, max_len: int,
     fits inside that of u*w, which the call that said False walked in full
     within the state cap, so this closure never exceeds it. A skipped
     closure adds no refusal, though one may answer where the closure it
-    skips would have exceeded the cap. No production code is used."""
+    skips would have exceeded the cap.
+
+    Rigid words, those no move applies to, are their own closures and get
+    no closure call: when u and w are rigid and the letters meeting at
+    both junctions neither cancel nor commute, u*w and w*u are rigid, so
+    u commutes exactly when they are the same letters; and a rigid u's
+    reversed, inverted spelling is rigid, its own canonical form. A
+    one-word closure adds no state, so these skipped calls could never
+    have exceeded `max_states`: answers and refusals are as with the
+    calls. No production code is used."""
     budget = budget or OracleBudget()
     if w.graph != g:
         raise DomainError("word does not live over the given graph")
@@ -217,9 +277,19 @@ def commuting_words(g: SimplicialGraph, w: Word, max_len: int,
     masks = g.masks
     cap = budget.max_states
     wc = _byte_codes(g, w)
-    inside = {}
+    moves = _moves(masks)
+    # head[x] / tail[x]: whether w's first / last letter and x admit a
+    # move, or 1 for every x when w itself is not rigid
+    if not wc:
+        head = tail = bytes(len(moves))
+    elif _rigid(moves, wc):
+        head, tail = moves[wc[0]], moves[wc[-1]]
+    else:
+        head = tail = b"\x01" * len(moves)
+    ball, rigid = _grown_ball(g, max_len, cap)
+    inside = {b"": True}  # the identity commutes with everything
     out = []
-    for u in _enumerated_ball(g, max_len, cap):
+    for u, rig in zip(ball, rigid):
         hit = inside.get(u)
         if hit is None:
             # the ball is factor-closed and shortlex sorted, so both parts
@@ -230,10 +300,15 @@ def commuting_words(g: SimplicialGraph, w: Word, max_len: int,
                     hit = a and b
                     break
             else:
-                hit = kernels.closure_equal(u + wc, wc + u, masks, cap)
+                if rig and not (head[u[-1]] or tail[u[0]]):
+                    hit = u + wc == wc + u
+                else:
+                    hit = kernels.closure_equal(u + wc, wc + u, masks, cap)
                 if not hit:
                     inv = bytes(x ^ 1 for x in reversed(u))
-                    inside[kernels.closure_canonical(inv, masks, cap)] = False
+                    if not rig:
+                        inv = kernels.closure_canonical(inv, masks, cap)
+                    inside[inv] = False
             inside[u] = hit
         if hit:
             out.append(NormalForm(g, _decode(g, u)))
@@ -251,12 +326,17 @@ def _exponents(g: SimplicialGraph, codes):
 
 @functools.lru_cache(maxsize=32)
 def _ball_level(g: SimplicialGraph, length: int, max_states: int):
-    """The canonical words of exactly `length` letters, shortlex sorted and
-    grouped by their net exponents."""
-    ball = _enumerated_ball(g, length, max_states)
+    """The canonical words u of exactly `length` letters, shortlex sorted
+    and grouped by their net exponents, each paired with whether its
+    powers u^k, k >= 1, are rigid: u is, and its last letter and its first
+    admit no move."""
+    ball, rigid = _grown_ball(g, length, max_states)
+    moves = _moves(g.masks)
     out = {}
-    for u in ball[bisect_left(ball, length, key=len):]:
-        out.setdefault(_exponents(g, u), []).append(u)
+    start = bisect_left(ball, length, key=len)
+    for u, rig in zip(ball[start:], rigid[start:]):
+        out.setdefault(_exponents(g, u), []).append(
+            (u, rig and not moves[u[-1]][u[0]]))
     return out
 
 
@@ -273,7 +353,11 @@ def brute_primitive_root(w: Word, budget: Optional[OracleBudget] = None):
     canonical form. Only the words whose net exponents, times k, are w's
     get a closure: abelianizing is a homomorphism, so it sends u^k and w
     to one point when they are equal. When no k works, w is its own root
-    with k = 1. No production code is used.
+    with k = 1. A rigid spelling of w, one no move applies to, is its own
+    closure-least spelling, and when u^k is rigid too the two are equal
+    exactly when their letters are: neither gets a closure call, and as a
+    one-word closure never exceeds `max_states`, no refusal changes. No
+    production code is used.
     """
     budget = budget or OracleBudget()
     g = w.graph
@@ -286,7 +370,10 @@ def brute_primitive_root(w: Word, budget: Optional[OracleBudget] = None):
             limit=budget.max_word_length)
     masks = g.masks
     cap = budget.max_states
-    wc = kernels.closure_canonical(_byte_codes(g, w), masks, cap)
+    wc = _byte_codes(g, w)
+    w_rigid = _rigid(_moves(masks), wc)
+    if not w_rigid:
+        wc = kernels.closure_canonical(wc, masks, cap)
     n = len(wc)
     if not n:
         raise DomainError("brute_primitive_root requires a nontrivial word")
@@ -295,8 +382,12 @@ def brute_primitive_root(w: Word, budget: Optional[OracleBudget] = None):
         if n % k or any(e % k for e in target):
             continue
         level = _ball_level(g, n // k, cap)
-        for u in level.get(tuple(e // k for e in target), ()):
-            if kernels.closure_equal(u * k, wc, masks, cap):
+        for u, powers_rigid in level.get(tuple(e // k for e in target), ()):
+            if w_rigid and powers_rigid:
+                hit = u * k == wc
+            else:
+                hit = kernels.closure_equal(u * k, wc, masks, cap)
+            if hit:
                 return NormalForm(g, _decode(g, u)), k
     return NormalForm(g, _decode(g, wc)), 1
 

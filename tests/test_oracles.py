@@ -1,5 +1,5 @@
 import inspect
-from itertools import combinations
+from itertools import combinations, product
 import os
 from pathlib import Path
 import subprocess
@@ -13,8 +13,8 @@ from raagdecomp import (BudgetExceededError, DomainError, OracleBudget,
                         brute_clique_separators,
                         clique_separators, commuting_words, equal,
                         exhaustive_graphs, is_connected, parse_word)
-from raagdecomp import kernels
-from raagdecomp.oracles import _enumerated_ball
+from raagdecomp import kernels, oracles
+from raagdecomp.oracles import _enumerated_ball, _grown_ball, _moves, _rigid
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -228,8 +228,9 @@ class TestCommutingWords:
         commuting_words(p5, parse_word(p5, "c"), 4)
         ball = _enumerated_ball(p5, 4, OracleBudget().max_states)
         assert len(calls) <= len(ball) // 2
-        # splits alone leave 855 closures here; inverse pairs take 511
-        assert len(calls) <= 600
+        # splits alone leave 855 closures here, inverse pairs take that to
+        # 511, and rigid words, decided by their letters, to 221
+        assert len(calls) <= 221
 
     def test_inverse_pairs_take_one_closure(self, monkeypatch):
         # a word found not to commute settles its inverse too, so no two
@@ -264,6 +265,81 @@ class TestCommutingWords:
                 assert kernels.canonicalize(inverse, g.masks) not in apart
             settled += len(apart)
         assert settled > 100
+
+
+def _connected_graphs_to_four():
+    for n in range(1, 5):
+        for g in exhaustive_graphs(n):
+            if is_connected(g):
+                yield g
+
+
+class TestRigidWords:
+    # a rigid word, one that no elementary move applies to, is its own
+    # closure; the oracles decide such words without a closure call
+
+    def test_rigid_exactly_when_the_kernel_closure_holds_one_word(self):
+        # with a cap of one state, the kernel closure refuses exactly when
+        # some move applies: the oracle's move rule is the kernels' table
+        for g in _connected_graphs_to_four():
+            moves = _moves(g.masks)
+            letters = range(2 * len(g.vertices))
+            for n in range(5):
+                for codes in product(letters, repeat=n):
+                    word = bytes(codes)
+                    try:
+                        kernels.closure_canonical(word, g.masks, 1)
+                        alone = True
+                    except BudgetExceededError:
+                        alone = False
+                    assert _rigid(moves, word) == alone, (g.edges, codes)
+
+    def test_ball_flags_follow_the_move_rule(self):
+        for g in _connected_graphs_to_four():
+            ball, rigid = _grown_ball(g, 3, 10**6)
+            moves = _moves(g.masks)
+            assert [_rigid(moves, u) for u in ball] == \
+                [bool(f) for f in rigid[:len(ball)]]
+
+    def test_rigid_words_get_no_closure(self, monkeypatch):
+        # on the path a-b-c-d-e, 2,472 of the 4,496 candidates of the
+        # radius-4 ball are rigid, and 290 of the 511 commutation checks
+        # around c are between rigid words: none of them reaches a kernel
+        p5 = _path_of_five()
+        moves = _moves(p5.masks)
+        canonical, equal_calls = [], []
+        closure_canonical = kernels.closure_canonical
+        closure_equal = kernels.closure_equal
+
+        def counted_canonical(word, masks, max_states):
+            canonical.append(word)
+            return closure_canonical(word, masks, max_states)
+
+        def counted_equal(a, b, masks, max_states):
+            equal_calls.append((a, b))
+            return closure_equal(a, b, masks, max_states)
+
+        monkeypatch.setattr(kernels, "closure_canonical", counted_canonical)
+        monkeypatch.setattr(kernels, "closure_equal", counted_equal)
+        oracles._balls.cache_clear()
+        ball = _enumerated_ball(p5, 4, OracleBudget().max_states)
+        assert (len(ball), len(canonical)) == (4265, 2024)
+        assert not any(_rigid(moves, word) for word in canonical)
+        canonical.clear()
+        commuting_words(p5, parse_word(p5, "c"), 4)
+        assert len(equal_calls) == 221
+        assert not any(_rigid(moves, a) and _rigid(moves, b)
+                       for a, b in equal_calls)
+        assert not any(_rigid(moves, word) for word in canonical)
+
+    def test_one_word_closures_never_refuse(self):
+        # a one-word closure adds no state, so even a cap of one state
+        # lets rigid words through; this held before rigid words skipped
+        # their closures too
+        g = SimplicialGraph(("a", "b"), [])
+        one = OracleBudget(max_states=1)
+        assert len(_enumerated_ball(g, 2, 1)) == 17
+        assert not bfs_equal(parse_word(g, "a b"), parse_word(g, "b a"), one)
 
 
 class TestExhaustiveGraphs:
