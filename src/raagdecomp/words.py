@@ -8,8 +8,10 @@ their normal forms coincide.
 Letter order is (generator name, sign) with the positive letter before the
 inverse, generators in sorted name order; all determinism downstream leans
 on that order. The kernels read letter codes, a tuple of ints: 2i for the
-i-th generator, 2i + 1 for its inverse. Engine-built words and `Word`s carry
-their codes, the former decoding letters when read; others encode on first use.
+i-th generator, 2i + 1 for its inverse. Every spelling carries checked codes:
+the constructors of `Word` and `NormalForm` check a caller's letters and keep
+their codes, and engine-built spellings carry the engine's codes, decoding
+letters when read.
 """
 
 from bisect import insort
@@ -38,12 +40,15 @@ class _Decoded:
         return letters
 
 
+@dataclass(frozen=True)
 class _Spelling:
-    letters = _Decoded()
+    """A spelling over a graph; the constructor checks every letter and
+    keeps the codes it checked them into."""
+    graph: SimplicialGraph
+    letters: Tuple[Letter, ...] = _Decoded()
 
-    @cached_property
-    def _codes(self) -> Tuple[int, ...]:
-        return _encode(self.graph, self.letters)
+    def __post_init__(self):
+        vars(self)["_codes"] = _encode(self.graph, self.letters)
 
     def __str__(self) -> str:
         return word_text(self)
@@ -51,12 +56,7 @@ class _Spelling:
 
 @dataclass(frozen=True)
 class Word(_Spelling):
-    """A spelling of an element; the constructor checks every letter."""
-    graph: SimplicialGraph
-    letters: Tuple[Letter, ...]
-
-    def __post_init__(self):
-        vars(self)["_codes"] = _encode(self.graph, self.letters)
+    """A spelling of an element."""
 
     def __mul__(self, other: "Word") -> "Word":
         _same_graph(self, other)
@@ -72,16 +72,15 @@ class Word(_Spelling):
 
 @dataclass(frozen=True)
 class NormalForm(_Spelling):
-    """Canonical spelling; only engine operations construct these."""
-    graph: SimplicialGraph
-    letters: Tuple[Letter, ...]
+    """Canonical spelling, as engine operations build it. A caller's letters
+    are checked as `Word`'s are, not canonicalized."""
 
     @property
     def word(self) -> Word:
-        return Word(self.graph, self.letters)
+        return _built(Word, self.graph, self._codes)
 
     def length(self) -> int:
-        return len(self._codes if "_codes" in vars(self) else self.letters)
+        return len(self._codes)
 
 
 def _built(cls, graph, codes: Tuple[int, ...]):
@@ -159,9 +158,7 @@ def parse_word(graph: SimplicialGraph, text: str) -> Word:
 
 
 def word_text(w) -> str:
-    if "_codes" in vars(w):  # else a caller's letters, perhaps unknown ones
-        return " ".join(map(_alphabet(w.graph).text.__getitem__, w._codes))
-    return " ".join(n if s > 0 else n + "^-1" for n, s in w.letters)
+    return " ".join(map(_alphabet(w.graph).text.__getitem__, w._codes))
 
 
 def _same_graph(a, b) -> None:

@@ -176,6 +176,10 @@ class TestConstruction:
         assert p4.adjacent("a", "b") is True
         assert p4.neighbors("b") == frozenset({"a", "c"})
 
+    def test_a_graph_equals_no_other_type(self, p4):
+        assert (p4 == "p4") is False
+        assert (p4 != 0) is True
+
 
 class TestParsing:
     def test_json_round_trip(self, p4):

@@ -8,13 +8,14 @@ import sys
 
 import pytest
 
-from raagdecomp import (DomainError, GogEdge, GogNode, GraphOfGroups,
-                        InvariantViolationError, SimplicialGraph,
-                        abelian_jsj, amalgam_split, clique_separators,
-                        exhaustive_graphs, gog_to_dot, gog_to_json_obj,
-                        hanging_vertices, hnn_split, is_connected,
-                        jsj_report, parse_graph, parse_word, reduce,
-                        relative_jsj, star_amalgam_split, validate)
+from raagdecomp import (CheckResult, DomainError, GogEdge, GogNode,
+                        GraphOfGroups, InvariantViolationError,
+                        SimplicialGraph, abelian_jsj, amalgam_split,
+                        clique_separators, exhaustive_graphs, gog_to_dot,
+                        gog_to_json_obj, hanging_vertices, hnn_split,
+                        is_connected, jsj_report, parse_graph, parse_word,
+                        reduce, relative_jsj, star_amalgam_split, validate)
+from raagdecomp import jsj
 from raagdecomp.cli import main
 from raagdecomp.graphs import _clique_minimal_separators, _mcs_m
 from raagdecomp.jsj import _attach_index, _build, _split_tree
@@ -281,6 +282,15 @@ class TestValidate:
         assert "shape" in all_passed(validate(gog))
         assert shape(gog) == \
             (False, "edge 0: stable letters belong to loops only")
+
+    def test_report_refuses_failed_checks(self, p4, monkeypatch):
+        # every failed check of both decompositions is named, in order
+        monkeypatch.setattr(jsj, "validate", lambda gog, abelian=False:
+                            [CheckResult("shape", False, "boom")])
+        with pytest.raises(InvariantViolationError) as info:
+            jsj_report(p4)
+        assert str(info.value) == \
+            "validation failed: relative:shape (boom); abelian:shape (boom)"
 
 
 class TestShape:

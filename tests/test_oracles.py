@@ -10,7 +10,7 @@ import pytest
 
 from raagdecomp import (BudgetExceededError, DomainError, OracleBudget,
                         SimplicialGraph, bfs_equal, brute_atoms,
-                        brute_clique_separators,
+                        brute_clique_separators, brute_primitive_root,
                         clique_separators, commuting_words, equal,
                         exhaustive_graphs, is_connected, parse_word)
 from raagdecomp import kernels, oracles
@@ -121,6 +121,23 @@ class TestBfsEqual:
                 bfs_equal(a, b)
             with pytest.raises(DomainError, match="one byte per letter"):
                 commuting_words(g, a, 1, OracleBudget(max_vertices=n))
+
+
+class TestBrutePrimitiveRoot:
+    path = SimplicialGraph(("a", "b", "c"), [("a", "b"), ("b", "c")])
+
+    def test_refuses_a_word_past_max_word_length(self):
+        with pytest.raises(BudgetExceededError) as info:
+            brute_primitive_root(parse_word(self.path, "a c a c a c a"))
+        e = info.value
+        assert str(e) == "word length 7 exceeds max_word_length=6"
+        assert (e.dimension, e.consumed, e.limit) == ("max_word_length", 7, 6)
+
+    def test_refuses_the_trivial_word(self):
+        with pytest.raises(DomainError) as info:
+            brute_primitive_root(parse_word(self.path, "a a^-1"))
+        assert str(info.value) == \
+            "brute_primitive_root requires a nontrivial word"
 
 
 class TestEnumeratedBall:

@@ -1118,11 +1118,22 @@ def test_engine_words_carry_their_codes(gw, k):
         assert x.letters == _decode(x.graph, x._codes)
         for y in copies + [replace(x), type(x)(x.graph, x.letters)]:
             assert y == x and hash(y) == hash(x) and repr(y) == repr(x)
-    # a normal form's word is built through the checking constructor,
-    # which keeps the codes it checked the letters into
+    # a normal form's word carries the codes checked when the normal
+    # form was built
     assert "_codes" in vars(nf.word)
     for x in built + [nf.word]:
         _assert_carries_its_codes(x)
+
+
+@given(graph_words())
+def test_caller_spellings_carry_their_codes(gw):
+    # both public constructors keep the codes they checked the letters
+    # into, so every spelling prints through the graph's alphabet
+    g, w = gw
+    text = " ".join(n if s > 0 else n + "^-1" for n, s in w.letters)
+    for x in (Word(g, w.letters), NormalForm(g, w.letters)):
+        assert "_codes" in vars(x)
+        assert word_text(x) == text
 
 
 # --- the centralizer ball against the per-word closure loop it replaced --

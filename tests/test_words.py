@@ -122,26 +122,24 @@ class TestNormalForm:
         assert str(nf) == "v129 v128 v129^-1 v000"
         assert nf._codes == (258, 256, 259, 0)
         assert str(w(g, "v128 v000^-1")) == "v128 v000^-1"
-        # a caller's normal form on any names still prints
-        assert str(NormalForm(g, (("v129", -1), ("zzz", 1)))) == "v129^-1 zzz"
+        # a caller's normal form is checked at construction
+        with pytest.raises(DomainError) as info:
+            NormalForm(g, (("v129", -1), ("zzz", 1)))
+        assert str(info.value) == "unknown generator 'zzz'"
         assert NormalForm(g, (("v129", -1), ("v000", 1))).length() == 2
 
-    @pytest.mark.parametrize("letter, text, message", [
-        (("a", 0), "a^-1", "letter sign must be +1 or -1, got 0"),
-        (("a", 2), "a", "letter sign must be +1 or -1, got 2"),
-        (("zz", 1), "zz", "unknown generator 'zz'")])
-    def test_caller_normal_form_letters_are_checked(self, p4, letter, text,
+    @pytest.mark.parametrize("letter, message", [
+        (("a", 0), "letter sign must be +1 or -1, got 0"),
+        (("a", 2), "letter sign must be +1 or -1, got 2"),
+        (("zz", 1), "unknown generator 'zz'")])
+    def test_caller_normal_form_letters_are_checked(self, p4, letter,
                                                     message):
-        # a caller's normal form is checked where its letters are encoded,
-        # with the texts of the checking constructor; it still prints
-        nf = NormalForm(p4, (letter,))
-        for op in (normal_form, support, lambda x: equal(x, w(p4, "a")),
-                   lambda x: equal(w(p4, "a"), x), lambda x: w(p4, "a") * x,
-                   lambda x: x.word):
+        # both public constructors check a caller's letters, with the same
+        # texts, so no engine call or printing ever meets an unchecked one
+        for cls in (Word, NormalForm):
             with pytest.raises(DomainError) as info:
-                op(nf)
+                cls(p4, (("a", 1), letter))
             assert str(info.value) == message
-        assert str(nf) == text
 
     def test_equal_rejects_cross_graph(self, p4, k3):
         with pytest.raises(DomainError):
