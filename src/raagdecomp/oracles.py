@@ -10,6 +10,9 @@ word, one where no two adjacent letters cancel or commute, admits no move
 and is its own closure: the oracles decide it by its letters, with no
 closure call, which can change no refusal since such a closure adds no
 state.
+Answers are built from the letter codes the oracles already hold, through
+`words._built`, which holds no logic: no letter is decoded or encoded, and
+the public `NormalForm` constructor, which would canonicalize, is not run.
 All enumeration is guarded by an `OracleBudget`, and hitting a cap raises
 `BudgetExceededError` naming the offending dimension.
 """
@@ -23,7 +26,7 @@ from typing import List, Optional
 from . import kernels
 from .errors import BudgetExceededError, DomainError
 from .graphs import SimplicialGraph
-from .words import NormalForm, Word, _decode, _same_graph
+from .words import NormalForm, Word, _built, _same_graph
 
 
 @dataclass(frozen=True)
@@ -311,7 +314,7 @@ def commuting_words(g: SimplicialGraph, w: Word, max_len: int,
                     inside[inv] = False
             inside[u] = hit
         if hit:
-            out.append(NormalForm(g, _decode(g, u)))
+            out.append(_built(NormalForm, g, tuple(u)))
     return out
 
 
@@ -388,8 +391,8 @@ def brute_primitive_root(w: Word, budget: Optional[OracleBudget] = None):
             else:
                 hit = kernels.closure_equal(u * k, wc, masks, cap)
             if hit:
-                return NormalForm(g, _decode(g, u)), k
-    return NormalForm(g, _decode(g, wc)), 1
+                return _built(NormalForm, g, tuple(u)), k
+    return _built(NormalForm, g, tuple(wc)), 1
 
 
 def exhaustive_graphs(n: int):

@@ -8,10 +8,10 @@ their normal forms coincide.
 Letter order is (generator name, sign) with the positive letter before the
 inverse, generators in sorted name order; all determinism downstream leans
 on that order. The kernels read letter codes, a tuple of ints: 2i for the
-i-th generator, 2i + 1 for its inverse. Every spelling carries checked codes:
-the constructors of `Word` and `NormalForm` check a caller's letters and keep
-their codes, and engine-built spellings carry the engine's codes, decoding
-letters when read.
+i-th generator, 2i + 1 for its inverse. A spelling's codes are its only
+state: the constructors of `Word` and `NormalForm` check a caller's letters,
+keep their codes and drop the letters, engine-built spellings carry the
+engine's codes, and every spelling decodes its letters when they are read.
 """
 
 from bisect import insort
@@ -31,8 +31,8 @@ Letter = Tuple[str, int]
 
 
 class _Decoded:
-    """An engine-built word's letters, decoded from its codes on first read;
-    on the class it raises AttributeError, so no dataclass default."""
+    """A spelling's letters, decoded from its codes on first read; on the
+    class it raises AttributeError, so no dataclass default."""
     def __get__(self, w, cls=None):
         if w is None:
             raise AttributeError("letters")
@@ -42,13 +42,14 @@ class _Decoded:
 
 @dataclass(frozen=True)
 class _Spelling:
-    """A spelling over a graph; the constructor checks every letter and
-    keeps the codes it checked them into."""
+    """A spelling over a graph, held as its codes alone; the constructor
+    checks every letter, keeps the codes it checked them into and drops the
+    caller's letters, so equality, hashing and copies see the decoded ones."""
     graph: SimplicialGraph
     letters: Tuple[Letter, ...] = _Decoded()
 
     def __post_init__(self):
-        vars(self)["_codes"] = _encode(self.graph, self.letters)
+        vars(self)["_codes"] = _encode(self.graph, vars(self).pop("letters"))
 
     def __str__(self) -> str:
         return word_text(self)
@@ -73,7 +74,14 @@ class Word(_Spelling):
 @dataclass(frozen=True)
 class NormalForm(_Spelling):
     """Canonical spelling, as engine operations build it. A caller's letters
-    are checked as `Word`'s are, not canonicalized."""
+    are checked as `Word`'s are and must already be the normal form: they
+    are not canonicalized, so `normal_form` stays the one way to make one."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        if kernels.canonicalize(self._codes, self.graph.masks) != self._codes:
+            raise DomainError("letters are not the normal form; "
+                              "use normal_form(Word(graph, letters))")
 
     @property
     def word(self) -> Word:
@@ -84,8 +92,8 @@ class NormalForm(_Spelling):
 
 
 def _built(cls, graph, codes: Tuple[int, ...]):
-    """`cls(graph, letters)` carrying the engine's own `codes`, unchecked;
-    its letters are decoded from them on first read."""
+    """`cls(graph, letters)` carrying the engine's own `codes` (a tuple of
+    ints), unchecked; its letters are decoded from them on first read."""
     obj = object.__new__(cls)
     vars(obj).update(graph=graph, _codes=codes)
     return obj
@@ -168,16 +176,27 @@ def _same_graph(a, b) -> None:
 
 def _encode(graph: SimplicialGraph, letters: Iterable[Letter]) -> Tuple[int, ...]:
     """The letters' codes. Every letter a caller hands in is checked here:
-    a sign other than +1 or -1, then a name off the graph, raises
-    DomainError."""
-    idx = graph._index
+    letters that are not an iterable of (name, sign) pairs, then a sign
+    other than +1 or -1, then a name off the graph, raise DomainError."""
+    get = graph._index.get
+    try:
+        letters = iter(letters)
+    except TypeError:
+        raise DomainError("letters must be (name, sign) pairs, got %r"
+                          % (letters,)) from None
     codes = []
-    for name, sign in letters:
+    for letter in letters:
+        try:
+            name, sign = letter
+            i = get(name)
+        except (TypeError, ValueError):
+            raise DomainError("each letter must be a (name, sign) pair, got %r"
+                              % (letter,)) from None
         if sign not in (1, -1):
             raise DomainError("letter sign must be +1 or -1, got %r" % (sign,))
-        if name not in idx:
+        if i is None:
             raise DomainError("unknown generator %r" % (name,))
-        codes.append(2 * idx[name] + (sign < 0))
+        codes.append(2 * i + (sign < 0))
     return tuple(codes)
 
 

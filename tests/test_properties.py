@@ -1128,12 +1128,22 @@ def test_engine_words_carry_their_codes(gw, k):
 @given(graph_words())
 def test_caller_spellings_carry_their_codes(gw):
     # both public constructors keep the codes they checked the letters
-    # into, so every spelling prints through the graph's alphabet
+    # into and drop the letters, however a caller holds them: every
+    # spelling prints through the graph's alphabet, and equality, hashing
+    # and copies see the one tuple `parse_word` gives. A caller's normal
+    # form must be the normal form
     g, w = gw
-    text = " ".join(n if s > 0 else n + "^-1" for n, s in w.letters)
-    for x in (Word(g, w.letters), NormalForm(g, w.letters)):
-        assert "_codes" in vars(x)
-        assert word_text(x) == text
+    for cls, letters in ((Word, w.letters),
+                         (NormalForm, normal_form(w).letters)):
+        text = " ".join(n if s > 0 else n + "^-1" for n, s in letters)
+        one = cls(g, letters)
+        for held in (tuple, list, iter, lambda ls: [list(x) for x in ls]):
+            x = cls(g, held(letters))
+            assert "_codes" in vars(x) and "letters" not in vars(x)
+            assert word_text(x) == text
+            assert x == one and hash(x) == hash(one) and replace(x) == x
+            assert x.letters == parse_word(g, text).letters
+            assert type(x.letters) is tuple
 
 
 # --- the centralizer ball against the per-word closure loop it replaced --
@@ -1146,6 +1156,34 @@ def _per_word_commuting(g, w, max_len, budget):
     return [NormalForm(g, _decode(g, u))
             for u in _enumerated_ball(g, max_len, budget.max_states)
             if kernels.closure_equal(u + wc, wc + u, masks, budget.max_states)]
+
+
+def test_oracle_answers_are_built_from_codes(monkeypatch):
+    # the oracles hold their words as byte codes and build each answer
+    # from them: no letter is decoded or encoded, and the codes are the
+    # tuple of ints that `contains` concatenates with the conjugator's
+    p5 = SimplicialGraph(tuple("abcde"), [("a", "b"), ("b", "c"),
+                                          ("c", "d"), ("d", "e")])
+    budget = OracleBudget()
+    w = parse_word(p5, "b c^-1")
+    calls = []
+    for name in ("_decode", "_encode"):
+        monkeypatch.setattr(words, name, lambda *a, f=getattr(words, name):
+                            calls.append(a) or f(*a))
+    ball = commuting_words(p5, w, 3, budget)
+    roots = [brute_primitive_root(power(parse_word(p5, "a c"), 3)),
+             brute_primitive_root(parse_word(p5, "a c e"))]
+    assert calls == []
+    monkeypatch.undo()
+    enumerated = set(_enumerated_ball(p5, 3, budget.max_states))
+    d = centralizer_descriptor(w)
+    for u in ball + [root for root, _ in roots]:
+        assert type(u._codes) is tuple and tuple(bytes(u._codes)) == u._codes
+        assert bytes(u._codes) in enumerated
+    assert all(d.contains(u.word) for u in ball)
+    assert ball == _per_word_commuting(p5, w, 3, budget)
+    assert roots == [(normal_form(parse_word(p5, "a c")), 3),
+                     (normal_form(parse_word(p5, "a c e")), 1)]
 
 
 def _small_connected_graphs():

@@ -69,6 +69,27 @@ class TestParsing:
         with pytest.raises(DomainError, match="unknown generator 'zzz'"):
             Word(p4, (("zzz", 1),))
 
+    @pytest.mark.parametrize("letters, message", [
+        (["a"], "each letter must be a (name, sign) pair, got 'a'"),
+        ([("a",)], "each letter must be a (name, sign) pair, got ('a',)"),
+        ([("a", 1, 2)],
+         "each letter must be a (name, sign) pair, got ('a', 1, 2)"),
+        ([("a", 1), 1], "each letter must be a (name, sign) pair, got 1"),
+        ([(["a"], 1)],
+         "each letter must be a (name, sign) pair, got (['a'], 1)"),
+        ("ab", "each letter must be a (name, sign) pair, got 'a'"),
+        (None, "letters must be (name, sign) pairs, got None"),
+        ([("zz", 2), ("a",)], "letter sign must be +1 or -1, got 2")],
+        ids=["name alone", "one item", "three items", "int", "list name",
+             "string", "None", "sign first"])
+    def test_malformed_letters(self, p4, letters, message):
+        # a letter's shape is checked before its sign and name, and a bad
+        # one is named in a DomainError, not left to unpacking or hashing
+        for cls in (Word, NormalForm):
+            with pytest.raises(DomainError) as info:
+                cls(p4, letters)
+            assert str(info.value) == message
+
     def test_cross_graph_product_rejected(self, p4, k3):
         with pytest.raises(DomainError):
             w(p4, "a") * w(k3, "a")
@@ -140,6 +161,13 @@ class TestNormalForm:
             with pytest.raises(DomainError) as info:
                 cls(p4, (("a", 1), letter))
             assert str(info.value) == message
+
+    @pytest.mark.parametrize("text", ["b a", "a a^-1"])
+    def test_caller_normal_form_must_be_the_normal_form(self, p4, text):
+        # no second way to make a normal form: a caller's letters that are
+        # not one are refused, not canonicalized
+        with pytest.raises(DomainError, match="not the normal form"):
+            NormalForm(p4, w(p4, text).letters)
 
     def test_equal_rejects_cross_graph(self, p4, k3):
         with pytest.raises(DomainError):
