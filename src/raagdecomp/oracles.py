@@ -10,6 +10,19 @@ word, one where no two adjacent letters cancel or commute, admits no move
 and is its own closure: the oracles decide it by its letters, with no
 closure call, which can change no refusal since such a closure adds no
 state.
+Before any closure, `bfs_equal`, `commuting_words` and
+`brute_primitive_root` ask `_apart` whether a retraction tells the two
+words apart. Killing every generator off a vertex set is a homomorphism
+of G onto the standard subgroup on that set (Part 1 of the paper rests on
+these retracts); on two non-adjacent generators that subgroup is free of
+rank 2, where free reduction decides equality, and the exponent sums are
+the image in the free abelian group on the vertices. So words with
+different images are unequal, and only an "equal" verdict is left to a
+closure. `_apart` does its own free reduction and raises nothing: it
+never adds a refusal, though it may answer where the closure it skips
+would have exceeded `max_states`. Every `max_states` refusal of a
+`closure_equal` under a cap c carries `consumed = max(c, 2) + 1` and the
+same text, so a refusal reached through another closure looks the same.
 Answers are built from the letter codes the oracles already hold, through
 `words._built`, which holds no logic: no letter is decoded or encoded, and
 the public `NormalForm` constructor, which would canonicalize, is not run.
@@ -149,6 +162,57 @@ def _rigid(moves, s) -> bool:
     return not any(moves[x][y] for x, y in zip(s, s[1:]))
 
 
+@functools.lru_cache(maxsize=32)
+def _retractions(masks):
+    """The retractions `_apart` compares, per `masks` tuple: the code of
+    each generator adjacent to every other, and for each pair of
+    non-adjacent generators the bytes of every letter code off the pair,
+    whose deletion retracts G onto the pair's standard subgroup, a free
+    group of rank 2. A generator with a non-adjacent partner has its
+    exponent sum read by that pair's image, so only the others need it.
+    One entry per non-adjacent pair: the oracles' graphs are small."""
+    n = len(masks)
+    every = bytes(range(2 * n))
+    full = (1 << n) - 1
+    central = tuple(2 * i for i in range(n) if masks[i] | 1 << i == full)
+    drops = tuple(every.translate(None, bytes((2 * i, 2 * i + 1,
+                                               2 * j, 2 * j + 1)))
+                  for i in range(n) for j in range(i + 1, n)
+                  if not masks[i] >> j & 1)
+    return central, drops
+
+
+def _freely_reduced(s) -> bytearray:
+    """`s` with adjacent inverse letters cancelled until none are left."""
+    out = bytearray()
+    for x in s:
+        if out and out[-1] == x ^ 1:
+            out.pop()
+        else:
+            out.append(x)
+    return out
+
+
+def _apart(retractions, a: bytes, b: bytes) -> bool:
+    """True when a retraction tells the words `a` and `b` apart, so they
+    are unequal: their exponent sums differ on some generator (the image
+    in the free abelian group on the vertices), or their freely reduced
+    images differ on some pair of non-adjacent generators, every other
+    letter deleted. Killing generators is a homomorphism of G onto the
+    standard subgroup of the rest, and free reduction decides equality in
+    a free group, so words called apart are never equal; False decides
+    nothing. Reads `_retractions(masks)`; no closure, so no refusal."""
+    central, drops = retractions
+    for x in central:
+        if a.count(x) - a.count(x + 1) != b.count(x) - b.count(x + 1):
+            return True
+    for drop in drops:
+        ra, rb = a.translate(None, drop), b.translate(None, drop)
+        if ra != rb and _freely_reduced(ra) != _freely_reduced(rb):
+            return True
+    return False
+
+
 def bfs_equal(w1: Word, w2: Word, budget: Optional[OracleBudget] = None) -> bool:
     """Equality by breadth-first closure under the two elementary moves
     (swap adjacent commuting letters, delete an adjacent inverse pair):
@@ -156,7 +220,11 @@ def bfs_equal(w1: Word, w2: Word, budget: Optional[OracleBudget] = None) -> bool
     Two rigid words (no move applies to either) are their own closures,
     so they are equal exactly when their letters are, and get no closure
     call; a one-word closure holds no state beyond its start, so the
-    call skipped could not have exceeded `max_states`."""
+    call skipped could not have exceeded `max_states`. Words that a
+    retraction tells apart (`_apart`: exponent sums, or the free images on
+    a non-adjacent pair) are unequal, as retractions are homomorphisms,
+    and get no closure either; that adds no refusal, but may answer where
+    the closure would have exceeded `max_states`."""
     budget = budget or OracleBudget()
     _same_graph(w1, w2)
     combined = len(w1._codes) + len(w2._codes)
@@ -171,6 +239,8 @@ def bfs_equal(w1: Word, w2: Word, budget: Optional[OracleBudget] = None) -> bool
     moves = _moves(g.masks)
     if _rigid(moves, a) and _rigid(moves, b):
         return a == b
+    if _apart(_retractions(g.masks), a, b):
+        return False
     return kernels.closure_equal(a, b, g.masks, budget.max_states)
 
 
@@ -247,15 +317,28 @@ def commuting_words(g: SimplicialGraph, w: Word, max_len: int,
     u = a*b commutes with w, u commutes exactly when the other part does;
     the closure oracle decides only the words with no such split (single
     letters among them; the empty word, the identity, commutes with
-    every w). For the same reason u^-1 commutes
-    exactly when u does: when a closure finds that u does not, u^-1 is
-    marked as not commuting and gets no closure of its own. Its canonical
-    form is the closure-least spelling of u's reversed, inverted letters,
-    whose closure is u's with every word reversed and inverted; u's closure
-    fits inside that of u*w, which the call that said False walked in full
-    within the state cap, so this closure never exceeds it. A skipped
-    closure adds no refusal, though one may answer where the closure it
-    skips would have exceeded the cap.
+    every w).
+
+    Before any closure, `_apart` compares u*w with w*u under the
+    retractions onto free pairs of non-adjacent generators: these are
+    homomorphisms, so when the images differ u does not commute with w.
+    Only the words it cannot separate go to `closure_equal`.
+
+    For the same reason as the splits, u^-1 commutes exactly when u does.
+    When a closure finds that u does not, u^-1 is marked as not commuting
+    and gets no closure of its own. Its canonical form is the
+    closure-least spelling of u's reversed, inverted letters, whose closure
+    is u's with every word reversed and inverted; u's closure fits inside
+    that of u*w, which that closure, having said False, walked in full
+    within the state cap, so this closure never exceeds it. A verdict that
+    `_apart` gave walked nothing, so it marks u^-1 only when u is rigid
+    (below), where the inverse costs nothing; otherwise u^-1's canonical
+    form meets `_apart` in turn, and its images are the inverses of u's,
+    so it is told apart the same way with no closure. A skipped closure
+    adds no refusal, though one may answer where the closure it skips
+    would have exceeded the cap; every `closure_equal` refusal under one
+    cap carries the same text and `consumed` value, whichever call
+    reached it.
 
     Rigid words, those no move applies to, are their own closures and get
     no closure call: when u and w are rigid and the letters meeting at
@@ -289,6 +372,7 @@ def commuting_words(g: SimplicialGraph, w: Word, max_len: int,
         head, tail = moves[wc[0]], moves[wc[-1]]
     else:
         head = tail = b"\x01" * len(moves)
+    retractions = _retractions(masks)
     ball, rigid = _grown_ball(g, max_len, cap)
     inside = {b"": True}  # the identity commutes with everything
     out = []
@@ -303,11 +387,16 @@ def commuting_words(g: SimplicialGraph, w: Word, max_len: int,
                     hit = a and b
                     break
             else:
+                uw, wu = u + wc, wc + u
+                walked = False
                 if rig and not (head[u[-1]] or tail[u[0]]):
-                    hit = u + wc == wc + u
+                    hit = uw == wu
+                elif _apart(retractions, uw, wu):
+                    hit = False
                 else:
-                    hit = kernels.closure_equal(u + wc, wc + u, masks, cap)
-                if not hit:
+                    hit = kernels.closure_equal(uw, wu, masks, cap)
+                    walked = True
+                if not hit and (rig or walked):
                     inv = bytes(x ^ 1 for x in reversed(u))
                     if not rig:
                         inv = kernels.closure_canonical(inv, masks, cap)
@@ -355,12 +444,17 @@ def brute_primitive_root(w: Word, budget: Optional[OracleBudget] = None):
     the largest, and roots are unique, so the first hit is the root's
     canonical form. Only the words whose net exponents, times k, are w's
     get a closure: abelianizing is a homomorphism, so it sends u^k and w
-    to one point when they are equal. When no k works, w is its own root
-    with k = 1. A rigid spelling of w, one no move applies to, is its own
-    closure-least spelling, and when u^k is rigid too the two are equal
-    exactly when their letters are: neither gets a closure call, and as a
-    one-word closure never exceeds `max_states`, no refusal changes. No
-    production code is used.
+    to one point when they are equal. Inside that group, a u^k that a
+    retraction onto a free pair of non-adjacent generators tells apart
+    from w (`_apart`) is not w and gets no closure either: no refusal is
+    added, though one may answer where a skipped closure would have
+    exceeded `max_states`, and a refusal that a later closure reaches
+    carries the same text and `consumed` value. When no k works, w is its
+    own root with k = 1. A rigid spelling of w, one no move applies to, is
+    its own closure-least spelling, and when u^k is rigid too the two are
+    equal exactly when their letters are: neither gets a closure call, and
+    as a one-word closure never exceeds `max_states`, no refusal changes.
+    No production code is used.
     """
     budget = budget or OracleBudget()
     g = w.graph
@@ -381,6 +475,7 @@ def brute_primitive_root(w: Word, budget: Optional[OracleBudget] = None):
     if not n:
         raise DomainError("brute_primitive_root requires a nontrivial word")
     target = _exponents(g, wc)
+    retractions = _retractions(masks)
     for k in range(n, 1, -1):
         if n % k or any(e % k for e in target):
             continue
@@ -389,7 +484,8 @@ def brute_primitive_root(w: Word, budget: Optional[OracleBudget] = None):
             if w_rigid and powers_rigid:
                 hit = u * k == wc
             else:
-                hit = kernels.closure_equal(u * k, wc, masks, cap)
+                hit = (not _apart(retractions, u * k, wc)
+                       and kernels.closure_equal(u * k, wc, masks, cap))
             if hit:
                 return _built(NormalForm, g, tuple(u)), k
     return _built(NormalForm, g, tuple(wc)), 1

@@ -40,22 +40,32 @@ class _Decoded:
         return letters
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Spelling:
     """A spelling over a graph, held as its codes alone; the constructor
     checks every letter, keeps the codes it checked them into and drops the
-    caller's letters, so equality, hashing and copies see the decoded ones."""
+    caller's letters. Equality and hashing read the type, graph and codes,
+    so they decode nothing, and a `Word` never equals a `NormalForm`."""
     graph: SimplicialGraph
     letters: Tuple[Letter, ...] = _Decoded()
 
     def __post_init__(self):
         vars(self)["_codes"] = _encode(self.graph, vars(self).pop("letters"))
 
+    def __eq__(self, other):
+        if not isinstance(other, _Spelling):
+            return NotImplemented
+        return (type(self) is type(other) and self._codes == other._codes
+                and self.graph == other.graph)
+
+    def __hash__(self):
+        return hash((type(self), self.graph, self._codes))
+
     def __str__(self) -> str:
         return word_text(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Word(_Spelling):
     """A spelling of an element."""
 
@@ -71,7 +81,7 @@ class Word(_Spelling):
         return len(self._codes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormalForm(_Spelling):
     """Canonical spelling, as engine operations build it. A caller's letters
     are checked as `Word`'s are and must already be the normal form: they

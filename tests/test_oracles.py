@@ -281,7 +281,9 @@ class TestCommutingWords:
                 inverse = bytes(x ^ 1 for x in reversed(u))
                 assert kernels.canonicalize(inverse, g.masks) not in apart
             settled += len(apart)
-        assert settled > 100
+        # retractions settle most non-commuting words before any closure,
+        # so only these reach one
+        assert settled == 20
 
 
 def _connected_graphs_to_four():
@@ -321,7 +323,8 @@ class TestRigidWords:
     def test_rigid_words_get_no_closure(self, monkeypatch):
         # on the path a-b-c-d-e, 2,472 of the 4,496 candidates of the
         # radius-4 ball are rigid, and 290 of the 511 commutation checks
-        # around c are between rigid words: none of them reaches a kernel
+        # around c are between rigid words: none of them reaches a kernel;
+        # retractions settle all but 21 of the others
         p5 = _path_of_five()
         moves = _moves(p5.masks)
         canonical, equal_calls = [], []
@@ -344,7 +347,7 @@ class TestRigidWords:
         assert not any(_rigid(moves, word) for word in canonical)
         canonical.clear()
         commuting_words(p5, parse_word(p5, "c"), 4)
-        assert len(equal_calls) == 221
+        assert len(equal_calls) == 21
         assert not any(_rigid(moves, a) and _rigid(moves, b)
                        for a, b in equal_calls)
         assert not any(_rigid(moves, word) for word in canonical)
@@ -357,6 +360,75 @@ class TestRigidWords:
         one = OracleBudget(max_states=1)
         assert len(_enumerated_ball(g, 2, 1)) == 17
         assert not bfs_equal(parse_word(g, "a b"), parse_word(g, "b a"), one)
+
+
+def _words_to_three(g):
+    letters = range(2 * len(g.vertices))
+    return [bytes(codes) for n in range(4)
+            for codes in product(letters, repeat=n)]
+
+
+class TestRetractions:
+    # `_apart` compares exponent sums and free-group images on
+    # non-adjacent pairs, so words it calls apart are unequal
+
+    def test_apart_words_are_unequal(self):
+        # equal words share a closure-canonical form, so the pairs inside
+        # one class are all the pairs closure_equal says True on: none of
+        # them may be called apart, over every pair of words of at most 3
+        # letters on every connected graph of at most 4 vertices
+        checked = 0
+        for g in _connected_graphs_to_four():
+            retractions = oracles._retractions(g.masks)
+            classes = {}
+            for word in _words_to_three(g):
+                canonical = kernels.closure_canonical(word, g.masks, 10**6)
+                classes.setdefault(canonical, []).append(word)
+            for members in classes.values():
+                for a, b in product(members, repeat=2):
+                    assert kernels.closure_equal(a, b, g.masks, 10**6)
+                    assert not oracles._apart(retractions, a, b), \
+                        (g.edges, a, b)
+                checked += len(members) ** 2
+        assert checked == 170_496
+
+    def test_adjacent_generators_are_not_a_free_pair(self):
+        # a b = b a on an edge; read as free, the pair would tell them apart
+        edge = SimplicialGraph(("a", "b"), [("a", "b")])
+        free = SimplicialGraph(("a", "b"), [])
+        ab, ba = b"\x00\x02", b"\x02\x00"
+        assert not oracles._apart(oracles._retractions(edge.masks), ab, ba)
+        assert oracles._apart(oracles._retractions(free.masks), ab, ba)
+
+    def test_decides_free_and_abelian_groups_of_rank_two(self):
+        # on two generators the group is Z^2 or F(a, b), which the
+        # exponent sums or the pair's free reduction decide outright
+        for g in (SimplicialGraph(("a", "b"), [("a", "b")]),
+                  SimplicialGraph(("a", "b"), [])):
+            retractions = oracles._retractions(g.masks)
+            words = _words_to_three(g)
+            canonical = {w: kernels.closure_canonical(w, g.masks, 10**6)
+                         for w in words}
+            for a, b in product(words, repeat=2):
+                assert oracles._apart(retractions, a, b) == \
+                    (canonical[a] != canonical[b])
+
+    def test_commutation_checks_left_to_closures(self, monkeypatch):
+        # on the path a-b-c-d-e, 21 of the commutation checks on the
+        # radius-4 ball around c reach closure_equal: the retractions
+        # separate every other one that the splits and rigid letters leave
+        p5 = _path_of_five()
+        calls = []
+        closure_equal = kernels.closure_equal
+
+        def counted(a, b, masks, max_states):
+            calls.append((a, b))
+            return closure_equal(a, b, masks, max_states)
+
+        monkeypatch.setattr(kernels, "closure_equal", counted)
+        commuting_words(p5, parse_word(p5, "c"), 4)
+        verdicts = [closure_equal(a, b, p5.masks, 10**6) for a, b in calls]
+        assert (len(calls), verdicts.count(True)) == (21, 5)
 
 
 class TestExhaustiveGraphs:

@@ -173,6 +173,20 @@ class TestNormalForm:
         with pytest.raises(DomainError):
             equal(w(p4, "a"), w(k3, "a"))
 
+    def test_spellings_compare_their_codes(self, p4, k3):
+        # == and hash read the type, graph and codes: comparing decodes no
+        # letter, and a Word never equals the NormalForm of its letters
+        u, v = w(p4, "a c^-1 b"), w(p4, "a c^-1 b")
+        assert u == v and hash(u) == hash(v)
+        assert "letters" not in vars(u) and "letters" not in vars(v)
+        assert u != w(p4, "a c^-1 b^-1") and u != w(k3, "a c^-1 b")
+        assert Word(p4, (("a", 1), ("c", -1), ("b", 1))) == u
+        nf = normal_form(w(p4, "b a"))
+        assert nf == NormalForm(p4, (("a", 1), ("b", 1)))
+        assert hash(nf) == hash(NormalForm(p4, (("a", 1), ("b", 1))))
+        assert nf != nf.word and nf.word != nf and u != "a c^-1 b"
+        assert len({u, v, nf, nf.word}) == 3
+
 
 class TestSupportAndRetract:
     def test_support_drops_cancelled_letters(self, p4):
