@@ -3,26 +3,29 @@
 Everything here enumerates: subsets for separators and atoms,
 breadth-first move closures for word equality, whole words for centralizer
 balls. None of it shares logic with the production code paths; that
-independence is the point. The centralizer ball runs a closure only for
-the words that the subgroup rule of `commuting_words` leaves open, so its
-verdicts too come from the closures and the group axioms alone. A rigid
-word, one where no two adjacent letters cancel or commute, admits no move
-and is its own closure: the oracles decide it by its letters, with no
-closure call, which can change no refusal since such a closure adds no
-state.
-Before any closure, `bfs_equal`, `commuting_words` and
-`brute_primitive_root` ask `_apart` whether a retraction tells the two
-words apart. Killing every generator off a vertex set is a homomorphism
-of G onto the standard subgroup on that set (Part 1 of the paper rests on
-these retracts); on two non-adjacent generators that subgroup is free of
-rank 2, where free reduction decides equality, and the exponent sums are
-the image in the free abelian group on the vertices. So words with
-different images are unequal, and only an "equal" verdict is left to a
-closure. `_apart` does its own free reduction and raises nothing: it
-never adds a refusal, though it may answer where the closure it skips
-would have exceeded `max_states`. Every `max_states` refusal of a
-`closure_equal` under a cap c carries `consumed = max(c, 2) + 1` and the
-same text, so a refusal reached through another closure looks the same.
+independence is the point.
+
+Whether two byte words spell one element is decided in one place,
+`_same_element`, in this order:
+1. Equal letters: equal.
+2. Both words rigid, no two adjacent letters of either cancelling or
+   commuting: unequal. A rigid word admits no move, so it is its own
+   closure and its own canonical form.
+3. A retraction tells them apart (`_apart`): unequal. Killing every
+   generator off a vertex set is a homomorphism of G onto the standard
+   subgroup on that set (Part 1 of the paper rests on these retracts); on
+   two non-adjacent generators that subgroup is free of rank 2, where free
+   reduction decides equality, and the exponent sums are the image in the
+   free abelian group on the vertices.
+4. Otherwise `kernels.closure_equal` walks both breadth-first closures.
+Only step 4 can refuse. The first three raise nothing, so they add no
+refusal, though they may answer where the closure they skip would have
+exceeded `max_states`; every `closure_equal` refusal under a cap c
+carries `consumed = max(c, 2) + 1` and the same text, whichever call
+reached it. So `commuting_words` refuses only where deciding every ball
+word by its own `closure_equal` does: the subgroup rules it settles the
+other words by run no closure, and the ball is the same one. Its verdicts
+too come from the closures and the group axioms alone.
 Answers are built from the letter codes the oracles already hold, through
 `words._built`, which holds no logic: no letter is decoded or encoded, and
 the public `NormalForm` constructor, which would canonicalize, is not run.
@@ -198,10 +201,9 @@ def _apart(retractions, a: bytes, b: bytes) -> bool:
     are unequal: their exponent sums differ on some generator (the image
     in the free abelian group on the vertices), or their freely reduced
     images differ on some pair of non-adjacent generators, every other
-    letter deleted. Killing generators is a homomorphism of G onto the
-    standard subgroup of the rest, and free reduction decides equality in
-    a free group, so words called apart are never equal; False decides
-    nothing. Reads `_retractions(masks)`; no closure, so no refusal."""
+    letter deleted. Retractions are homomorphisms, so words called apart
+    are never equal; False decides nothing. Reads `_retractions(masks)`;
+    no closure, so no refusal."""
     central, drops = retractions
     for x in central:
         if a.count(x) - a.count(x + 1) != b.count(x) - b.count(x + 1):
@@ -213,18 +215,24 @@ def _apart(retractions, a: bytes, b: bytes) -> bool:
     return False
 
 
+def _same_element(masks, retractions, cap, a: bytes, b: bytes,
+                  rigid: bool) -> bool:
+    """Whether the words `a` and `b` spell one element, decided in the
+    order the module docstring gives. `rigid` says the caller knows both
+    are rigid; `retractions` is `_retractions(masks)`; `cap` bounds the
+    closure of the last step, the only one that can refuse."""
+    if a == b:
+        return True
+    if rigid or _apart(retractions, a, b):
+        return False
+    return kernels.closure_equal(a, b, masks, cap)
+
+
 def bfs_equal(w1: Word, w2: Word, budget: Optional[OracleBudget] = None) -> bool:
     """Equality by breadth-first closure under the two elementary moves
     (swap adjacent commuting letters, delete an adjacent inverse pair):
     the closures of equal words meet, those of distinct words never do.
-    Two rigid words (no move applies to either) are their own closures,
-    so they are equal exactly when their letters are, and get no closure
-    call; a one-word closure holds no state beyond its start, so the
-    call skipped could not have exceeded `max_states`. Words that a
-    retraction tells apart (`_apart`: exponent sums, or the free images on
-    a non-adjacent pair) are unequal, as retractions are homomorphisms,
-    and get no closure either; that adds no refusal, but may answer where
-    the closure would have exceeded `max_states`."""
+    Decided by `_same_element`, whose shortcuts run no closure."""
     budget = budget or OracleBudget()
     _same_graph(w1, w2)
     combined = len(w1._codes) + len(w2._codes)
@@ -237,11 +245,8 @@ def bfs_equal(w1: Word, w2: Word, budget: Optional[OracleBudget] = None) -> bool
     g = w1.graph
     a, b = _byte_codes(g, w1), _byte_codes(g, w2)
     moves = _moves(g.masks)
-    if _rigid(moves, a) and _rigid(moves, b):
-        return a == b
-    if _apart(_retractions(g.masks), a, b):
-        return False
-    return kernels.closure_equal(a, b, g.masks, budget.max_states)
+    return _same_element(g.masks, _retractions(g.masks), budget.max_states,
+                         a, b, _rigid(moves, a) and _rigid(moves, b))
 
 
 @functools.lru_cache(maxsize=32)
@@ -315,39 +320,13 @@ def commuting_words(g: SimplicialGraph, w: Word, max_len: int,
 
     The words commuting with w form a subgroup, so when one part of a split
     u = a*b commutes with w, u commutes exactly when the other part does;
-    the closure oracle decides only the words with no such split (single
-    letters among them; the empty word, the identity, commutes with
-    every w).
-
-    Before any closure, `_apart` compares u*w with w*u under the
-    retractions onto free pairs of non-adjacent generators: these are
-    homomorphisms, so when the images differ u does not commute with w.
-    Only the words it cannot separate go to `closure_equal`.
-
-    For the same reason as the splits, u^-1 commutes exactly when u does.
-    When a closure finds that u does not, u^-1 is marked as not commuting
-    and gets no closure of its own. Its canonical form is the
-    closure-least spelling of u's reversed, inverted letters, whose closure
-    is u's with every word reversed and inverted; u's closure fits inside
-    that of u*w, which that closure, having said False, walked in full
-    within the state cap, so this closure never exceeds it. A verdict that
-    `_apart` gave walked nothing, so it marks u^-1 only when u is rigid
-    (below), where the inverse costs nothing; otherwise u^-1's canonical
-    form meets `_apart` in turn, and its images are the inverses of u's,
-    so it is told apart the same way with no closure. A skipped closure
-    adds no refusal, though one may answer where the closure it skips
-    would have exceeded the cap; every `closure_equal` refusal under one
-    cap carries the same text and `consumed` value, whichever call
-    reached it.
-
-    Rigid words, those no move applies to, are their own closures and get
-    no closure call: when u and w are rigid and the letters meeting at
-    both junctions neither cancel nor commute, u*w and w*u are rigid, so
-    u commutes exactly when they are the same letters; and a rigid u's
-    reversed, inverted spelling is rigid, its own canonical form. A
-    one-word closure adds no state, so these skipped calls could never
-    have exceeded `max_states`: answers and refusals are as with the
-    calls. No production code is used."""
+    and u^-1 commutes exactly when u does, so a rigid u found not to
+    commute marks its reversed, inverted spelling, rigid too and so its
+    own canonical form, as not commuting. The words these rules leave open
+    (single letters among them; the empty word, the identity, commutes
+    with every w) go to `_same_element` with u*w against w*u, both rigid
+    when u and w are and the letters meeting at both junctions neither
+    cancel nor commute. No production code is used."""
     budget = budget or OracleBudget()
     if w.graph != g:
         raise DomainError("word does not live over the given graph")
@@ -387,20 +366,10 @@ def commuting_words(g: SimplicialGraph, w: Word, max_len: int,
                     hit = a and b
                     break
             else:
-                uw, wu = u + wc, wc + u
-                walked = False
-                if rig and not (head[u[-1]] or tail[u[0]]):
-                    hit = uw == wu
-                elif _apart(retractions, uw, wu):
-                    hit = False
-                else:
-                    hit = kernels.closure_equal(uw, wu, masks, cap)
-                    walked = True
-                if not hit and (rig or walked):
-                    inv = bytes(x ^ 1 for x in reversed(u))
-                    if not rig:
-                        inv = kernels.closure_canonical(inv, masks, cap)
-                    inside[inv] = False
+                hit = _same_element(masks, retractions, cap, u + wc, wc + u,
+                                    rig and not (head[u[-1]] or tail[u[0]]))
+                if not hit and rig:
+                    inside[bytes(x ^ 1 for x in reversed(u))] = False
             inside[u] = hit
         if hit:
             out.append(_built(NormalForm, g, tuple(u)))
@@ -416,45 +385,22 @@ def _exponents(g: SimplicialGraph, codes):
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=32)
-def _ball_level(g: SimplicialGraph, length: int, max_states: int):
-    """The canonical words u of exactly `length` letters, shortlex sorted
-    and grouped by their net exponents, each paired with whether its
-    powers u^k, k >= 1, are rigid: u is, and its last letter and its first
-    admit no move."""
-    ball, rigid = _grown_ball(g, length, max_states)
-    moves = _moves(g.masks)
-    out = {}
-    start = bisect_left(ball, length, key=len)
-    for u, rig in zip(ball[start:], rigid[start:]):
-        out.setdefault(_exponents(g, u), []).append(
-            (u, rig and not moves[u[-1]][u[0]]))
-    return out
-
-
 def brute_primitive_root(w: Word, budget: Optional[OracleBudget] = None):
     """(root, k) with w = root^k and k largest, for a nontrivial cyclically
     reduced w whose support is not a join (unchecked), by trying every
     canonical word as the root.
 
-    The closure-least spelling of w has n letters. For each divisor k >= 2
-    of n, from the largest down, the canonical words u of exactly n/k
-    letters in the ball are tried in shortlex order, and the first whose
-    k-th power the closure finds equal to w is the root: the k found is
-    the largest, and roots are unique, so the first hit is the root's
+    The closure-least spelling of w has n letters; a rigid spelling, one
+    no move applies to, is its own, with a one-word closure that could not
+    have refused, so it gets none. For each divisor k >= 2 of n, from the
+    largest down, the canonical words u of exactly n/k letters in the ball
+    are tried in shortlex order, and the first whose k-th power
+    `_same_element` finds equal to w is the root: the k found is the
+    largest, and roots are unique, so the first hit is the root's
     canonical form. Only the words whose net exponents, times k, are w's
-    get a closure: abelianizing is a homomorphism, so it sends u^k and w
-    to one point when they are equal. Inside that group, a u^k that a
-    retraction onto a free pair of non-adjacent generators tells apart
-    from w (`_apart`) is not w and gets no closure either: no refusal is
-    added, though one may answer where a skipped closure would have
-    exceeded `max_states`, and a refusal that a later closure reaches
-    carries the same text and `consumed` value. When no k works, w is its
-    own root with k = 1. A rigid spelling of w, one no move applies to, is
-    its own closure-least spelling, and when u^k is rigid too the two are
-    equal exactly when their letters are: neither gets a closure call, and
-    as a one-word closure never exceeds `max_states`, no refusal changes.
-    No production code is used.
+    are tried: abelianizing is a homomorphism, so it sends u^k and w to
+    one point when they are equal. When no k works, w is its own root
+    with k = 1. No production code is used.
     """
     budget = budget or OracleBudget()
     g = w.graph
@@ -468,7 +414,8 @@ def brute_primitive_root(w: Word, budget: Optional[OracleBudget] = None):
     masks = g.masks
     cap = budget.max_states
     wc = _byte_codes(g, w)
-    w_rigid = _rigid(_moves(masks), wc)
+    moves = _moves(masks)
+    w_rigid = _rigid(moves, wc)
     if not w_rigid:
         wc = kernels.closure_canonical(wc, masks, cap)
     n = len(wc)
@@ -479,14 +426,15 @@ def brute_primitive_root(w: Word, budget: Optional[OracleBudget] = None):
     for k in range(n, 1, -1):
         if n % k or any(e % k for e in target):
             continue
-        level = _ball_level(g, n // k, cap)
-        for u, powers_rigid in level.get(tuple(e // k for e in target), ()):
-            if w_rigid and powers_rigid:
-                hit = u * k == wc
-            else:
-                hit = (not _apart(retractions, u * k, wc)
-                       and kernels.closure_equal(u * k, wc, masks, cap))
-            if hit:
+        share = tuple(e // k for e in target)
+        ball, rigid = _grown_ball(g, n // k, cap)
+        start = bisect_left(ball, n // k, key=len)
+        for u, rig in zip(ball[start:], rigid[start:]):
+            # u^k is rigid when u is and u's last and first letters admit
+            # no move
+            if _exponents(g, u) == share and _same_element(
+                    masks, retractions, cap, u * k, wc,
+                    w_rigid and rig and not moves[u[-1]][u[0]]):
                 return _built(NormalForm, g, tuple(u)), k
     return _built(NormalForm, g, tuple(wc)), 1
 

@@ -16,7 +16,7 @@ from raagdecomp import (BudgetExceededError, OracleBudget, SimplicialGraph,
                         is_clique, is_connected, join_factors, jsj_report,
                         kernels, power, relative_jsj, support)
 from raagdecomp.oracles import _enumerated_ball
-from raagdecomp.words import _decode, _encode
+from raagdecomp.words import _built, _decode
 
 import golden
 from conftest import random_connected_graph, random_word
@@ -208,11 +208,10 @@ def test_08_centralizer_ball():
         g = random_connected_graph(rng, rng.randrange(1, 6),
                                    rng.random() * 0.6)
         w = random_word(rng, g, rng.randrange(0, 5))
-        oracle = {bytes(_encode(g, u.letters))
-                  for u in commuting_words(g, w, 5, budget)}
+        oracle = {bytes(u._codes) for u in commuting_words(g, w, 5, budget)}
         descriptor = centralizer_descriptor(w)
         described = {u for u in _enumerated_ball(g, 5, budget.max_states)
-                     if descriptor.contains(Word(g, _decode(g, u)))}
+                     if descriptor.contains(_built(Word, g, tuple(u)))}
         assert oracle == described
     _done("centralizer descriptions match the commuting-word ball", t0, 300)
 

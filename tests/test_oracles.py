@@ -1,5 +1,5 @@
 import inspect
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 import os
 from pathlib import Path
 import subprocess
@@ -245,22 +245,24 @@ class TestCommutingWords:
         commuting_words(p5, parse_word(p5, "c"), 4)
         ball = _enumerated_ball(p5, 4, OracleBudget().max_states)
         assert len(calls) <= len(ball) // 2
-        # splits alone leave 855 closures here, inverse pairs take that to
-        # 511, and rigid words, decided by their letters, to 221
+        # the splits and the inverses leave 566 of the 4,265 words to
+        # check; rigid letters decide 289 of those and retractions all but
+        # 21 of the rest, so 21 closures
         assert len(calls) <= 221
 
     def test_inverse_pairs_take_one_closure(self, monkeypatch):
-        # a word found not to commute settles its inverse too, so no two
-        # words that a closure says do not commute are inverses
-        recorded = []
-        closure_equal = kernels.closure_equal
+        # a rigid word found not to commute settles its inverse, whose
+        # reversed, inverted spelling is rigid and so canonical: of each
+        # such pair only the first in the ball is checked
+        checked = {}
+        same_element = oracles._same_element
 
-        def recording(a, b, masks, max_states):
-            verdict = closure_equal(a, b, masks, max_states)
-            recorded.append((a, verdict))
+        def recording(masks, retractions, cap, a, b, rigid):
+            verdict = same_element(masks, retractions, cap, a, b, rigid)
+            checked[a[:len(a) - tail]] = verdict
             return verdict
 
-        monkeypatch.setattr(kernels, "closure_equal", recording)
+        monkeypatch.setattr(oracles, "_same_element", recording)
         p5 = _path_of_five()
         k4 = SimplicialGraph(tuple("abcd"), [("a", "b"), ("a", "c"),
                                              ("b", "c"), ("c", "d")])
@@ -272,18 +274,17 @@ class TestCommutingWords:
                                 (k4, "a d", 3), (c5, "a c^-1", 3),
                                 (c5, "", 2)):
             w = parse_word(g, text)
-            recorded.clear()
-            commuting_words(g, w, radius)
             tail = len(w.letters)
-            apart = {a[:len(a) - tail] for a, verdict in recorded
-                     if not verdict}
-            for u in apart:
-                inverse = bytes(x ^ 1 for x in reversed(u))
-                assert kernels.canonicalize(inverse, g.masks) not in apart
-            settled += len(apart)
-        # retractions settle most non-commuting words before any closure,
-        # so only these reach one
-        assert settled == 20
+            checked.clear()
+            commuting_words(g, w, radius)
+            moves = _moves(g.masks)
+            for u, verdict in checked.items():
+                if _rigid(moves, u) and not verdict:
+                    assert bytes(x ^ 1 for x in reversed(u)) not in checked
+                    settled += 1
+        # 510 rigid words in these balls do not commute, none of them with
+        # its inverse checked; a non-rigid word's inverse gets its own check
+        assert settled == 510
 
 
 def _connected_graphs_to_four():
@@ -322,7 +323,7 @@ class TestRigidWords:
 
     def test_rigid_words_get_no_closure(self, monkeypatch):
         # on the path a-b-c-d-e, 2,472 of the 4,496 candidates of the
-        # radius-4 ball are rigid, and 290 of the 511 commutation checks
+        # radius-4 ball are rigid, and 289 of the 566 commutation checks
         # around c are between rigid words: none of them reaches a kernel;
         # retractions settle all but 21 of the others
         p5 = _path_of_five()
@@ -429,6 +430,30 @@ class TestRetractions:
         commuting_words(p5, parse_word(p5, "c"), 4)
         verdicts = [closure_equal(a, b, p5.masks, 10**6) for a, b in calls]
         assert (len(calls), verdicts.count(True)) == (21, 5)
+
+
+class TestSameElement:
+    def test_agrees_with_closure_equal(self):
+        # every pair of words of at most 3 letters on every connected
+        # graph of at most 4 vertices, rigid only when both words are;
+        # equal closure-canonical forms stand in for closure_equal, which
+        # TestRetractions runs on every pair they call equal
+        checked = 0
+        for g in _connected_graphs_to_four():
+            moves = _moves(g.masks)
+            retractions = oracles._retractions(g.masks)
+            words = _words_to_three(g)
+            canonical = {w: kernels.closure_canonical(w, g.masks, 10**6)
+                         for w in words}
+            rigid = {w: _rigid(moves, w) for w in words}
+            # the rule is symmetric in its two words
+            wrong = [(a, b) for a, b in combinations_with_replacement(words, 2)
+                     if oracles._same_element(g.masks, retractions, 10**6, a, b,
+                                              rigid[a] and rigid[b])
+                     != (canonical[a] == canonical[b])]
+            assert wrong == [], g.edges
+            checked += len(words) * (len(words) + 1) // 2
+        assert checked == 6_651_845
 
 
 class TestExhaustiveGraphs:
