@@ -7,6 +7,14 @@ Subcommands:
 
 Exit codes: 0 success, 1 input problem, 2 validation failure, 3 budget
 exceeded. Input files are JSON or DOT, sniffed by content; "-" reads stdin.
+
+The group of a disconnected graph is the free product of its components'
+groups, so a connected graph is the one-component case. `analyze` lists
+every component and the sorted union of their clique separators. `jsj`
+decomposes each component on its own and prints a JSON array of
+{"component", "decomposition", "validation"} objects, after a warning on
+stderr; DOT output refuses such a graph (exit 1). `element` works on the
+whole graph.
 """
 
 import argparse
@@ -114,21 +122,24 @@ def _emit(obj) -> None:
     sys.stdout.write(_dump(obj) + "\n")
 
 
-def _cmd_analyze(args) -> int:
-    g = parse_graph(_read_text(args.file))
+def _parts(g):
+    """The components of g and the graphs to handle: g itself when it has
+    at most one component (the empty graph has none), else the subgraph
+    induced on each component."""
     comps = connected_components(g)
-    connected = len(comps) <= 1
-    if connected:
-        seps = clique_separators(g)
-    else:
-        seps = sorted(
-            {s for c in comps
-             for s in clique_separators(induced_subgraph(g, c))},
-            key=lambda t: (len(t), t))
+    if len(comps) <= 1:
+        return comps, [g]
+    return comps, [induced_subgraph(g, c) for c in comps]
+
+
+def _cmd_analyze(args, g) -> int:
+    comps, parts = _parts(g)
+    seps = sorted({s for p in parts for s in clique_separators(p)},
+                  key=lambda t: (len(t), t))
     _emit({
         "vertices": list(g.vertices),
         "edges": [list(e) for e in _sorted_edges(g, _full_mask(g))],
-        "is_connected": connected,
+        "is_connected": len(parts) == 1,
         "is_complete": is_complete(g),
         "components": [list(c) for c in comps],
         "join_factors": [list(f) for f in join_factors(g)],
@@ -139,21 +150,10 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _decompose(g, mode):
-    gog = abelian_jsj(g) if mode == "abelian" else relative_jsj(g)
-    checks = validate(gog, abelian=(mode == "abelian"))
-    return gog, checks
-
-
-def _check_objs(checks):
-    return [{"name": c.name, "passed": c.passed, "detail": c.detail}
-            for c in checks]
-
-
-def _cmd_jsj(args) -> int:
-    g = parse_graph(_read_text(args.file))
-    comps = connected_components(g)
-    if len(comps) > 1:
+def _cmd_jsj(args, g) -> int:
+    comps, parts = _parts(g)
+    several = len(parts) > 1
+    if several:
         if args.format == "dot":
             raise DomainError(
                 "dot output needs a connected graph; got %d components"
@@ -161,36 +161,32 @@ def _cmd_jsj(args) -> int:
         sys.stderr.write(
             "warning: graph is disconnected; decomposing %d components "
             "separately\n" % len(comps))
-        failed = False
-        out = []
-        for c in comps:
-            gog, checks = _decompose(induced_subgraph(g, c), args.mode)
-            failed = failed or not all(ch.passed for ch in checks)
-            entry = {"component": list(c),
-                     "decomposition": gog_to_json_obj(gog)}
+    abelian = args.mode == "abelian"
+    failed = False
+    out = []
+    for k, part in enumerate(parts):
+        gog = abelian_jsj(part) if abelian else relative_jsj(part)
+        checks = validate(gog, abelian=abelian)
+        failed = failed or not all(c.passed for c in checks)
+        if args.format == "dot":
+            sys.stdout.write(gog_to_dot(gog))
+            for c in checks:
+                if not c.passed:
+                    sys.stderr.write("failed check %s: %s\n"
+                                     % (c.name, c.detail))
+        else:
+            entry = {"component": list(comps[k])} if several else {}
+            entry["decomposition"] = gog_to_json_obj(gog)
             if not args.quiet:
-                entry["validation"] = _check_objs(checks)
+                entry["validation"] = [{"name": c.name, "passed": c.passed,
+                                        "detail": c.detail} for c in checks]
             out.append(entry)
-        _emit(out)
-        return 2 if failed else 0
-
-    gog, checks = _decompose(g, args.mode)
-    failed = not all(c.passed for c in checks)
-    if args.format == "dot":
-        sys.stdout.write(gog_to_dot(gog))
-        for c in checks:
-            if not c.passed:
-                sys.stderr.write("failed check %s: %s\n" % (c.name, c.detail))
-    else:
-        obj = {"decomposition": gog_to_json_obj(gog)}
-        if not args.quiet:
-            obj["validation"] = _check_objs(checks)
-        _emit(obj)
+    if args.format == "json":
+        _emit(out if several else out[0])
     return 2 if failed else 0
 
 
-def _cmd_element(args) -> int:
-    g = parse_graph(_read_text(args.file))
+def _cmd_element(args, g) -> int:
     w = parse_word(g, args.word)
     if args.op == "nf":
         nf = normal_form(w)
@@ -227,12 +223,10 @@ def main(argv=None) -> int:
         args, rest = sub.parse_known_args(argv[1:]) if sub else (None, True)
         if rest:
             args = parser.parse_args(argv)
-        else:
-            args.command = argv[0]
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return args.func(args, parse_graph(_read_text(args.file)))
     except (GraphParseError, GraphValidationError, DomainError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1

@@ -455,11 +455,12 @@ def _check(name, results, fn):
 def validate(gog: GraphOfGroups, abelian: bool = False) -> List[CheckResult]:
     """Structural checks; failures are reported, never raised.
 
-    Checks: base-graph shape (tree, or tree with loops), group embeddings,
-    node groups abelian or separator-free, edge groups disconnecting cliques
-    (skipped for the degenerate one-vertex base), reducedness of non-loop
-    edges, covering of all base vertices, and for abelian output the hanging
-    vertex exclusion and the flexible flags.
+    Checks: base-graph shape (tree, or tree with loops), group embeddings
+    with stable letters that are vertices, node groups abelian or
+    separator-free, edge groups disconnecting cliques (skipped for the
+    degenerate one-vertex base), reducedness of non-loop edges, covering of
+    all base vertices, and for abelian output the hanging vertex exclusion
+    and the flexible flags.
     """
     base = gog.base
     results: List[CheckResult] = []
@@ -503,6 +504,8 @@ def validate(gog: GraphOfGroups, abelian: bool = False) -> List[CheckResult]:
         for e in gog.edges:
             if not set(e.group) <= vs:
                 return "edge %d group is not a vertex subset" % e.id
+            if e.stable_letter is not None and e.stable_letter not in vs:
+                return "edge %d stable letter is not a vertex" % e.id
             for end in set(e.ends):
                 if not set(e.group) <= set(gog.node(end).group):
                     return "edge %d group not inside node %d group" % (e.id, end)

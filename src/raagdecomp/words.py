@@ -249,7 +249,8 @@ def power(w: Word, k: int) -> Word:
     if len(codes) * abs(k) > MAX_WORD_LETTERS:
         raise DomainError("word expands to more than %d letters"
                           % MAX_WORD_LETTERS)
-    return _built(Word, w.graph, codes * abs(k))
+    # a tuple cannot repeat past sys.maxsize times, not even the empty one
+    return _built(Word, w.graph, codes * abs(k) if codes else ())
 
 
 def _unblocked(order, block, full) -> int:

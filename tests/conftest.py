@@ -1,8 +1,8 @@
-import random
-
 import pytest
 
-from raagdecomp import SimplicialGraph, Word, parse_graph
+from raagdecomp import SimplicialGraph, parse_graph
+
+from generators import random_connected_graph, random_word  # noqa: F401
 
 
 @pytest.fixture
@@ -31,26 +31,3 @@ def tri_tail():
     return SimplicialGraph(
         ("a", "b", "c", "d"),
         [("a", "b"), ("a", "c"), ("b", "c"), ("c", "d")])
-
-
-def random_connected_graph(rng: random.Random, n: int,
-                           extra_p: float = 0.3) -> SimplicialGraph:
-    """Random spanning tree plus independent extra edges."""
-    names = tuple("abcdefghijkl"[:n])
-    edges = set()
-    order = list(range(n))
-    rng.shuffle(order)
-    for k in range(1, n):
-        a, b = order[k], order[rng.randrange(k)]
-        edges.add((names[min(a, b)], names[max(a, b)]))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < extra_p:
-                edges.add((names[i], names[j]))
-    return SimplicialGraph(names, sorted(edges))
-
-
-def random_word(rng: random.Random, g: SimplicialGraph, length: int) -> Word:
-    letters = tuple((rng.choice(g.vertices), rng.choice((1, -1)))
-                    for _ in range(length))
-    return Word(g, letters)

@@ -34,7 +34,7 @@ from raagdecomp import (exhaustive_graphs, gog_to_dot, gog_to_json_obj,
                         is_connected, jsj_report, serialize_graph)
 from raagdecomp.cli import main
 
-from conftest import random_connected_graph
+from generators import random_connected_graph
 
 STORED = Path(__file__).resolve().parent / "data" / "golden_decompositions.json"
 CLI_STORED = Path(__file__).resolve().parent / "data" / "golden_cli.json"

@@ -1,15 +1,19 @@
 import io
 import json
 from pathlib import Path
+import random
 import time
 
 from hypothesis import example, given, settings, strategies as st
 import pytest
 
-from raagdecomp import CheckResult, InvariantViolationError, cli, words
+from raagdecomp import (CheckResult, InvariantViolationError, SimplicialGraph,
+                        cli, exhaustive_graphs, is_connected, serialize_graph,
+                        words)
 from raagdecomp.cli import _dump, main
 
 import golden
+from generators import random_connected_graph
 
 P4_JSON = ('{"vertices": ["a","b","c","d"],'
            ' "edges": [["a","b"],["b","c"],["c","d"]]}')
@@ -204,6 +208,63 @@ class TestJsj:
     def test_bad_mode_is_input_error(self, capsys, p4_file):
         code, _, _ = run(capsys, "jsj", p4_file, "--mode", "sideways")
         assert code == 1
+
+
+def _renamed(g, names):
+    """g with its i-th vertex renamed names[i]."""
+    new = dict(zip(g.vertices, names))
+    return SimplicialGraph(tuple(new[v] for v in g.vertices),
+                           [(new[u], new[v]) for u, v in g.edges])
+
+
+def _disjoint_pairs():
+    """(A, B) pairs of connected graphs on disjoint vertex names: every
+    pair of connected graphs of at most 3 vertices, B's names interleaved
+    with A's, then seeded pairs of 4-8 vertices under shuffled names."""
+    small = [g for n in (1, 2, 3) for g in exhaustive_graphs(n)
+             if is_connected(g)]
+    for a in small:
+        for b in small:
+            yield _renamed(a, "ace"), _renamed(b, "bdf")
+    rng = random.Random(0xD15)
+    for _ in range(12):
+        a, b = (random_connected_graph(rng, rng.randrange(4, 9),
+                                       rng.random() * 0.6) for _ in "ab")
+        pool = list("abcdefghijklmnop")
+        rng.shuffle(pool)
+        yield (_renamed(a, pool[:len(a.vertices)]),
+               _renamed(b, pool[len(a.vertices):][:len(b.vertices)]))
+
+
+@pytest.mark.parametrize("a, b", list(_disjoint_pairs()),
+                         ids=lambda g: "+".join(g.vertices))
+def test_disconnected_input_is_the_connected_path_per_component(a, b):
+    union = json.dumps({"vertices": list(a.vertices + b.vertices),
+                        "edges": [list(e) for g in (a, b)
+                                  for e in sorted(g.edges)]})
+    parts = sorted((a, b), key=lambda g: min(g.vertices))
+    warning = ("warning: graph is disconnected; decomposing 2 components "
+               "separately\n")
+    for args in (["--mode", "relative"], ["--mode", "abelian"],
+                 ["--mode", "relative", "--quiet"],
+                 ["--mode", "abelian", "--quiet"]):
+        runs = [golden.cli_run(serialize_graph(g), ["jsj", "-"] + args)
+                for g in parts]
+        assert all(err == "" for _, _, err in runs)
+        expected = [dict({"component": list(g.vertices)}, **json.loads(out))
+                    for g, (_, out, _) in zip(parts, runs)]
+        assert golden.cli_run(union, ["jsj", "-"] + args) == (
+            max(code for code, _, _ in runs),
+            json.dumps(expected, indent=2) + "\n", warning)
+    report = json.loads(golden.cli_run(union, ["analyze", "-"])[1])
+    seps = {tuple(s) for g in parts for s in json.loads(golden.cli_run(
+        serialize_graph(g), ["analyze", "-"])[1])["clique_separators"]}
+    assert report["is_connected"] is False
+    assert report["components"] == [list(g.vertices) for g in parts]
+    assert report["clique_separators"] == \
+        [list(s) for s in sorted(seps, key=lambda s: (len(s), s))]
+    assert golden.cli_run(union, ["jsj", "-", "--format", "dot"]) == (
+        1, "", "error: dot output needs a connected graph; got 2 components\n")
 
 
 class TestElement:

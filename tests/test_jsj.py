@@ -249,6 +249,17 @@ class TestValidate:
         assert [(c.passed, c.detail) for c in embedding] == \
             [(False, "edge 0 group is not a vertex subset")]
 
+    def test_detects_stable_letter_outside_the_graph(self):
+        # an extra loop whose stable letter names no vertex passes every
+        # other check: its group is a vertex of the node it hangs on
+        g = SimplicialGraph(("a", "b", "c"), [("a", "b"), ("b", "c")])
+        gog = relative_jsj(g)
+        bent = GraphOfGroups(g, gog.nodes,
+                             gog.edges + (GogEdge(1, (0, 0), ("b",), "zz"),))
+        assert [(c.name, c.detail) for c in validate(bent)
+                if not c.passed] == \
+            [("embedding", "edge 1 stable letter is not a vertex")]
+
     def test_detects_non_reduced_edge(self, p4):
         gog = _build(p4, [("a", "b"), ("a", "b", "c", "d")],
                      [(0, 1, ("a", "b"), None)])

@@ -221,6 +221,10 @@ class TestSupportAndRetract:
         assert calls == []
         assert p.letters == w(p4, text).letters
 
+    @pytest.mark.parametrize("k", [10**30, -10**30])
+    def test_power_of_the_trivial_word_past_sys_maxsize(self, p4, k):
+        assert power(w(p4, ""), k)._codes == ()
+
     @pytest.mark.parametrize("k", [2.0, "2", None])
     def test_power_exponent_must_be_an_int(self, p4, k):
         with pytest.raises(DomainError) as info:
