@@ -49,15 +49,39 @@ class GraphOfGroups:
 
     @functools.cached_property
     def _by_id(self):
-        # the first node with an id wins; cached_property writes the
-        # instance __dict__, which the frozen __setattr__ does not guard
-        return {n.id: n for n in reversed(self.nodes)}
+        # the position of the first node with each id; cached_property
+        # writes the instance __dict__, which the frozen __setattr__ does
+        # not guard
+        return {n.id: i for i, n in reversed(list(enumerate(self.nodes)))}
 
-    def node(self, node_id: int) -> GogNode:
+    @functools.cached_property
+    def _masks(self):
+        """The vertex masks of the node groups and of the edge groups, in
+        list order: each group's names are converted once per
+        decomposition. A group that is not a set of vertex names of the
+        base gets None; a check that needs its mask gets, through
+        `_table_mask`, the error its names raise."""
+        base = self.base
+
+        def mask(group):
+            try:
+                return _vertex_mask(base, group)
+            except _CHECK_ERRORS:
+                return None
+
+        return ([mask(n.group) for n in self.nodes],
+                [mask(e.group) for e in self.edges])
+
+    def _at(self, node_id):
+        """The position in `nodes` of the first node with id `node_id`;
+        DomainError when no node has it."""
         try:
             return self._by_id[node_id]
         except KeyError:
             raise DomainError("no node with id %d" % node_id) from None
+
+    def node(self, node_id: int) -> GogNode:
+        return self.nodes[self._at(node_id)]
 
 
 def _build(base, groups, raw_edges):
@@ -158,11 +182,22 @@ def _split_tree(g):
     piece, and splitting along one of them leaves each of the others inside
     exactly one piece, where it still disconnects that piece (Leimer,
     "Optimal decomposition by clique separators", Discrete Math. 113,
-    1993; Berry, Pogorelcnik and Simonet, Algorithms 3(2), 2010). So every
-    separator is used exactly once, and a piece splits along the first of
-    them, in (size, lex) order, that lies inside it. That one comes after
-    the separator its parent split along, so the scan of a piece starts
-    there.
+    1993; Berry, Pogorelcnik and Simonet, Algorithms 3(2), 2010). So each
+    piece carries its candidates, the separators inside it not yet used,
+    as indices in (size, lex) order: the whole graph has them all, a
+    piece's first candidate is the one it splits along, and a piece with
+    none is a leaf. Each later candidate S goes to exactly one child: S is
+    not inside the separator K (it would be smaller, or equal), and S - K,
+    a clique, lies in one component C, so only the child made of K and C
+    holds S.
+    Candidates move by the smaller half (Even and Shiloach, 1981, as in
+    `_separated_components`): the child with the most vertices keeps its
+    parent's list, and each other child gathers its own from the
+    separators holding its component's vertices. `owner` numbers the list
+    each unused separator is on, so the child that kept a list skips the
+    entries that moved off it as it reaches them. No piece tests the
+    separators against its vertices, and a split costs about the size of
+    its smaller components and of the candidates they take.
     The pieces of a split are the separator plus each component left after
     deleting it, in order of least vertex; the pieces of consecutive
     components are joined at their lexicographically least group
@@ -177,60 +212,82 @@ def _split_tree(g):
     masks = g.masks
     vs = g.vertices
     separators = _clique_minimal_separators(g)
+    holding: list = [[] for _ in vs]  # the separators holding each vertex
+    for pos, (_, kmask) in enumerate(separators):
+        while kmask:
+            v = kmask.bit_length() - 1
+            holding[v].append(pos)
+            kmask ^= 1 << v
+    owner = [0] * len(separators)  # the list of each unused separator
+    lists = 1  # the lists made so far, the whole graph's being list 0
     groups: list = []
     bits: list = []  # the bitmask of each group
     holders: list = [[] for _ in vs]  # the groups holding each vertex
     edges: list = []
     used: list = []
-    # a piece is (vertices, first separator to try, the group offsets of its
-    # split, unread for the whole graph); the split itself, (separator,
-    # None, offsets), is taken after all its pieces, when it joins them
-    stack = [(_full_mask(g), 0, [])]
+    # a piece is (vertices, candidate list, where its part of that list
+    # starts, the list's number, the group offsets of its split, unread
+    # for the whole graph); the split itself, (separator, None, 0, 0,
+    # offsets), is taken after all its pieces, when it joins them
+    stack = [(_full_mask(g), list(range(len(separators))), 0, 0, [])]
     while stack:
-        part, first, offsets = stack.pop()
-        if first is None:
+        part, cands, at, mark, offsets = stack.pop()
+        if cands is None:
             k, kmask = part
-            # the separator's vertex held by the fewest groups
-            held = min((holders[v] for v in _names(range(len(vs)), kmask)),
-                       key=len)
+            held = None  # of the separator's vertex held by fewest groups
+            rest = kmask
+            while rest:
+                v = rest.bit_length() - 1
+                if held is None or len(holders[v]) < len(held):
+                    held = holders[v]
+                rest ^= 1 << v
             attach = [_attach_index(groups, bits, held, start, end, k, kmask)
                       for start, end in zip(offsets,
                                             offsets[1:] + [len(groups)])]
             edges.extend((a, b, k, None) for a, b in zip(attach, attach[1:]))
             continue
         offsets.append(len(groups))
-        found = _first_split(masks, part, separators, first)
-        if found is None:
-            members = _names(range(len(vs)), part)
-            for v in members:
+        while at < len(cands) and owner[cands[at]] != mark:
+            at += 1
+        if at == len(cands):
+            names = []
+            rest = part
+            while rest:  # highest bit first: the mask narrows
+                v = rest.bit_length() - 1
                 holders[v].append(len(groups))
-            groups.append(tuple([vs[v] for v in members]))
+                names.append(vs[v])
+                rest ^= 1 << v
+            names.reverse()
+            groups.append(tuple(names))
             bits.append(part)
             continue
-        pos, comps = found
+        pos = cands[at]
+        owner[pos] = -1  # used: no child takes it
         k, kmask = separators[pos]
         used.append(k)
+        # a piece is connected, so every component of the piece minus the
+        # separator holds a neighbour of it
+        comps = _separated_components(masks, part ^ kmask, kmask)
+        largest = max(comps, key=int.bit_count)
         mine: list = []
-        stack.append(((k, kmask), None, mine))
+        stack.append(((k, kmask), None, 0, 0, mine))
         for comp in reversed(comps):
-            stack.append((kmask | comp, pos + 1, mine))
+            if comp == largest:
+                stack.append((kmask | comp, cands, at + 1, mark, mine))
+                continue
+            moved = []
+            rest = comp
+            while rest:  # highest bit first: the mask narrows
+                v = rest.bit_length() - 1
+                rest ^= 1 << v
+                for s in holding[v]:
+                    if owner[s] == mark:
+                        owner[s] = lists
+                        moved.append(s)
+            moved.sort()
+            stack.append((kmask | comp, moved, 0, lists, mine))
+            lists += 1
     return tuple(groups), tuple(edges), tuple(used)
-
-
-def _first_split(masks, piece, separators, first):
-    """(index, components) for the first separator from `first` on that
-    lies inside `piece`, or None; complete pieces never split, and hold no
-    separator left unused. A separator inside a piece disconnects it (see
-    `_split_tree`). A piece is connected, so every component of the piece
-    minus a separator holds a neighbour of the separator, and
-    `_separated_components` finds them from there."""
-    if _clique_mask(masks, piece):
-        return None
-    for pos in range(first, len(separators)):
-        kmask = separators[pos][1]
-        if piece | kmask == piece:
-            return pos, _separated_components(masks, piece ^ kmask, kmask)
-    return None
 
 
 def _separated_components(masks, rest, kmask):
@@ -443,10 +500,14 @@ class CheckResult:
     detail: str = ""
 
 
+# what a check may raise on a malformed decomposition, reported as failed
+_CHECK_ERRORS = (RaagError, KeyError, IndexError, TypeError, ValueError)
+
+
 def _check(name, results, fn):
     try:
         detail = fn()
-    except (RaagError, KeyError, IndexError, TypeError, ValueError) as exc:
+    except _CHECK_ERRORS as exc:
         results.append(CheckResult(name, False, "check raised: %s" % exc))
         return
     results.append(CheckResult(name, detail == "", detail or ""))
@@ -497,24 +558,27 @@ def validate(gog: GraphOfGroups, abelian: bool = False) -> List[CheckResult]:
         return ""
 
     def embedding():
+        # a group without a mask is no vertex subset, unless reading its
+        # names raises, as `set` does here
         vs = set(base.vertices)
-        for n in gog.nodes:
-            if not set(n.group) <= vs:
+        node_masks, edge_masks = gog._masks
+        for n, m in zip(gog.nodes, node_masks):
+            if m is None and not set(n.group) <= vs:
                 return "node %d group is not a vertex subset" % n.id
-        for e in gog.edges:
-            if not set(e.group) <= vs:
+        for e, m in zip(gog.edges, edge_masks):
+            if m is None and not set(e.group) <= vs:
                 return "edge %d group is not a vertex subset" % e.id
             if e.stable_letter is not None and e.stable_letter not in vs:
                 return "edge %d stable letter is not a vertex" % e.id
             for end in set(e.ends):
-                if not set(e.group) <= set(gog.node(end).group):
+                if node_masks[gog._at(end)] & m != m:
                     return "edge %d group not inside node %d group" % (e.id, end)
         return ""
 
     def node_groups():
         masks = base.masks
-        for n in gog.nodes:
-            m = _vertex_mask(base, n.group)
+        for n, m in zip(gog.nodes, gog._masks[0]):
+            m = _table_mask(base, n.group, m)
             if _clique_mask(masks, m):
                 continue
             if _splits(masks, m):
@@ -526,10 +590,11 @@ def validate(gog: GraphOfGroups, abelian: bool = False) -> List[CheckResult]:
     def edge_groups():
         if len(base.vertices) == 1 or _certified(gog):
             return ""
-        for e in gog.edges:
-            if not is_clique(base, e.group):
+        for e, m in zip(gog.edges, gog._masks[1]):
+            m = _table_mask(base, e.group, m)
+            if not _clique_mask(base.masks, m):
                 return "edge %d group is not a clique" % e.id
-            left = _full_mask(base) & ~_vertex_mask(base, e.group)
+            left = _full_mask(base) & ~m
             if not _splits(base.masks, left):
                 return "edge %d group does not disconnect the graph" % e.id
         return ""
@@ -561,8 +626,9 @@ def validate(gog: GraphOfGroups, abelian: bool = False) -> List[CheckResult]:
         return ""
 
     def flexible():
-        for n in gog.nodes:
-            if n.flexible != is_clique(base, n.group):
+        for n, m in zip(gog.nodes, gog._masks[0]):
+            if n.flexible != _clique_mask(base.masks,
+                                          _table_mask(base, n.group, m)):
                 return "node %d flexible flag disagrees with its group" % n.id
         return ""
 
@@ -576,6 +642,12 @@ def validate(gog: GraphOfGroups, abelian: bool = False) -> List[CheckResult]:
         _check("hanging", results, hanging)
         _check("flexible", results, flexible)
     return results
+
+
+def _table_mask(base, group, m):
+    """`m`, the entry of `group` in `GraphOfGroups._masks`; where that is
+    None, the error that converting the names of `group` raises."""
+    return _vertex_mask(base, group) if m is None else m
 
 
 def _certified(gog):
@@ -601,13 +673,15 @@ def _certified(gog):
     """
     base = gog.base
     masks = base.masks
+    node_masks, edge_masks = gog._masks
+    if None in node_masks or None in edge_masks:
+        return False  # names outside the base or no names at all
+    bags = list(node_masks)
+    links = [[] for _ in bags]  # per bag: (neighbour bag, edge group)
     try:
-        at = {n.id: i for i, n in enumerate(gog.nodes)}
-        bags = [_vertex_mask(base, n.group) for n in gog.nodes]
-        links = [[] for _ in bags]  # per bag: (neighbour bag, edge group)
-        for e in gog.edges:
+        at = gog._by_id
+        for e, group in zip(gog.edges, edge_masks):
             a, b = at[e.ends[0]], at[e.ends[1]]
-            group = _vertex_mask(base, e.group)
             if not _clique_mask(masks, group):
                 return False
             if a == b:
@@ -617,7 +691,7 @@ def _certified(gog):
             links[a].append((b, group))
             links[b].append((a, group))
     except (DomainError, KeyError, TypeError, IndexError):
-        return False  # names outside the base, undefined ends, odd types
+        return False  # undefined ends, stable letters outside the base
     if len(at) != len(gog.nodes) or len(gog.edges) != len(bags) - 1:
         return False
     up = [None] * len(bags)  # per bag: (parent bag, edge group)

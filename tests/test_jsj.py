@@ -343,6 +343,93 @@ class TestShape:
         assert shape(gog) == \
             (False, "non-loop edges do not connect the nodes")
 
+
+class TestMalformed:
+    # validate(gog, abelian=True) in full on damaged copies of p4's
+    # relative decomposition, as recorded before the checks read one mask
+    # table per decomposition: a group naming no vertex, or no names at
+    # all, fails or raises in each check that reads it, as it did
+    CHECKS = ("shape", "embedding", "node_groups", "edge_groups", "reduced",
+              "covering", "hanging", "flexible")
+    HANGING = "hanging vertex 'a' appears in node 0"
+    ZZ = "check raised: not vertices of the graph: 'zz'"
+    INT = "check raised: 'int' object is not iterable"
+    NO_7 = "check raised: no node with id 7"
+    SPLIT = "node 1 group is neither abelian nor separator-free"
+    EXPECTED = {
+        "node group names no vertex": (
+            "", "node 0 group is not a vertex subset", ZZ, "", "", "",
+            HANGING, ZZ),
+        "edge group names no vertex": (
+            "", "edge 0 group is not a vertex subset", "", ZZ, "", "",
+            HANGING, ""),
+        "stable letter names no vertex": (
+            "", "edge 2 stable letter is not a vertex", "", "", "", "",
+            HANGING, ""),
+        "node group not iterable": (
+            "", INT, INT, "", "", INT, HANGING, INT),
+        "edge group not iterable": (
+            "", INT, "", INT, "", "", HANGING, ""),
+        "edge end names no node": (
+            "edge 1 has undefined endpoint", NO_7, "", "", NO_7, "", HANGING,
+            ""),
+        "duplicate node ids": (
+            "duplicate node ids", "",
+            "node 1 group induces a disconnected subgraph", "", "", "",
+            HANGING, "node 1 flexible flag disagrees with its group"),
+        "edge group unsorted": (
+            "", "", SPLIT, "edge 0 group does not disconnect the graph", "",
+            "", HANGING, ""),
+        "edge group repeats a name": (
+            "", "", SPLIT, "edge 0 group does not disconnect the graph", "",
+            "", HANGING, ""),
+    }
+
+    @staticmethod
+    def damaged(p4):
+        rel = relative_jsj(p4)
+        n, e = rel.nodes, rel.edges
+        # node 1 is the whole graph, and edge 0 equals node 0 as a set only
+        flat = _build(p4, [("a", "b"), ("a", "b", "c", "d")],
+                      [(0, 1, ("a", "b"), None)])
+
+        def node(i, **kw):
+            nodes = n[:i] + (replace(n[i], **kw),) + n[i + 1:]
+            return replace(rel, nodes=nodes)
+
+        def edge(i, **kw):
+            edges = e[:i] + (replace(e[i], **kw),) + e[i + 1:]
+            return replace(rel, edges=edges)
+
+        def flat_group(group):
+            return replace(flat, edges=(replace(flat.edges[0], group=group),))
+
+        return {
+            "node group names no vertex": node(0, group=("a", "b", "zz")),
+            "edge group names no vertex": edge(0, group=("b", "zz")),
+            "stable letter names no vertex": replace(
+                rel, edges=e + (GogEdge(2, (1, 1), ("b",), "zz"),)),
+            "node group not iterable": node(1, group=5),
+            "edge group not iterable": edge(1, group=5),
+            "edge end names no node": edge(1, ends=(1, 7)),
+            # the first node with an id is the one edges reach
+            "duplicate node ids": replace(
+                rel, nodes=n + (GogNode(1, ("a", "d"), True),)),
+            # reducedness compares the name tuples as listed
+            "edge group unsorted": flat_group(("b", "a")),
+            "edge group repeats a name": flat_group(("a", "b", "b")),
+        }
+
+    def test_check_results_as_recorded(self, p4):
+        cases = self.damaged(p4)
+        assert sorted(cases) == sorted(self.EXPECTED)
+        for name, gog in cases.items():
+            assert validate(gog, abelian=True) == [
+                CheckResult(check, detail == "", detail)
+                for check, detail in zip(self.CHECKS, self.EXPECTED[name])
+            ], name
+
+
 class TestNodeLookup:
     def test_first_node_with_an_id_wins(self, p4):
         first = GogNode(0, ("a", "b"), True)

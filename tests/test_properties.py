@@ -24,14 +24,18 @@ from raagdecomp import (BudgetExceededError, CentralizerDescriptor,
                         relative_jsj, star, star_amalgam_split, support,
                         validate, word_text)
 from raagdecomp import jsj, kernels, words, _pykernel
-from raagdecomp.graphs import (_clique_minimal_separators, _component_masks,
-                               _full_mask, _join_masks, _mcs_m, _names,
-                               _splits, _vertex_mask)
-from raagdecomp.jsj import _build, _separated_components
+from raagdecomp.graphs import (_clique_mask, _clique_minimal_separators,
+                               _component_masks, _full_mask, _join_masks,
+                               _mcs_m, _names, _splits, _vertex_mask)
+from raagdecomp.jsj import (_attach_index, _build, _separated_components,
+                            _split_tree)
 from raagdecomp.oracles import _enumerated_ball
 from raagdecomp.words import _decode, _encode
 
 from conftest import random_connected_graph, random_word
+import golden
+from test_jsj import glued_blobs
+from test_scale import chordal_graph, tree_graph
 from test_words import _choice_tree_size
 
 
@@ -638,6 +642,80 @@ def test_relative_node_groups_are_the_atoms():
             if is_connected(g):
                 groups = sorted(node.group for node in relative_jsj(g).nodes)
                 assert groups == brute_atoms(g), g.edges
+
+
+# --- the splitting tree against the separator scan it replaced -----------
+
+
+def _scanning_split_tree(g):
+    """`_split_tree` by scanning: every piece but a clique tests each
+    separator after the one its parent split along against its vertices,
+    and splits along the first one inside it."""
+    masks, vs = g.masks, g.vertices
+    separators = _clique_minimal_separators(g)
+    groups, bits, edges, used = [], [], [], []
+    holders = [[] for _ in vs]  # the groups holding each vertex
+    # a piece is (vertices, first separator to try, the group offsets of
+    # its split); the split, (separator, None, offsets), joins its pieces
+    stack = [(_full_mask(g), 0, [])]
+    while stack:
+        part, first, offsets = stack.pop()
+        if first is None:
+            k, kmask = part
+            held = min((holders[v] for v in _names(range(len(vs)), kmask)),
+                       key=len)
+            attach = [_attach_index(groups, bits, held, start, end, k, kmask)
+                      for start, end in zip(offsets,
+                                            offsets[1:] + [len(groups)])]
+            edges.extend((a, b, k, None) for a, b in zip(attach, attach[1:]))
+            continue
+        offsets.append(len(groups))
+        pos = None if _clique_mask(masks, part) else next(
+            (pos for pos in range(first, len(separators))
+             if part | separators[pos][1] == part), None)
+        if pos is None:
+            members = _names(range(len(vs)), part)
+            for v in members:
+                holders[v].append(len(groups))
+            groups.append(tuple(vs[v] for v in members))
+            bits.append(part)
+            continue
+        k, kmask = separators[pos]
+        used.append(k)
+        mine = []
+        stack.append(((k, kmask), None, mine))
+        for comp in reversed(_separated_components(masks, part ^ kmask,
+                                                   kmask)):
+            stack.append((kmask | comp, pos + 1, mine))
+    return tuple(groups), tuple(edges), tuple(used)
+
+
+def _shuffled_path(rng, n):
+    """A path whose names run in random order along it."""
+    names = ["v%04d" % i for i in range(n)]
+    rng.shuffle(names)
+    return SimplicialGraph(names, list(zip(names, names[1:])))
+
+
+def test_split_tree_matches_separator_scan():
+    # (groups, edges, used) on the golden corpus, glued blobs, and larger
+    # trees, shuffled paths and chordal graphs, whose pieces hold few of
+    # the separators that come after their parent's
+    count = 0
+    for _, g in golden.corpus():
+        assert _split_tree(g) == _scanning_split_tree(g), g.edges
+        count += 1
+    rng = random.Random(0xB10B)
+    graphs = [glued_blobs(rng, rng.randrange(10, 61)) for _ in range(300)]
+    rng = random.Random(0x5917)
+    for n in (200, 1_000, 3_000):
+        graphs += [tree_graph(n, rng.randrange(1 << 16)),
+                   _shuffled_path(rng, n),
+                   chordal_graph(n, rng.randrange(1 << 16))]
+    for g in graphs:
+        assert _split_tree(g) == _scanning_split_tree(g), len(g.vertices)
+        count += 1
+    assert count == 27_776 + 300 + 9
 
 
 # --- reduce against the edge-scanning loop it replaced -------------------

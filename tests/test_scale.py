@@ -38,6 +38,10 @@ that the tree edges connect the nodes by sweeping the edge list until no
 node is added, when the edges are listed far end first. The masks of a
 path in name order grow with the square of its length; past their cap
 such a path is refused after one count over its edges, with no mask built.
+A random tree or chordal graph has about one separator per two vertices,
+and each piece holds few of those that come after the one its parent
+split along: a piece that scans them all for the first one inside it
+makes the splitting tree quadratic in the number of separators.
 """
 
 import json
@@ -79,6 +83,21 @@ def tree_graph(n, seed):
     names = ["v%04d" % i for i in range(n)]
     return SimplicialGraph(names, [(names[rng.randrange(i)], names[i])
                                    for i in range(1, n)])
+
+
+def chordal_graph(n, seed):
+    """Random chordal graph: each vertex after the first joins 1-3 vertices
+    of the clique an earlier vertex made with the vertices it joined."""
+    rng = random.Random(seed)
+    names = ["v%05d" % i for i in range(n)]
+    cliques = [(0,)]
+    edges = []
+    for v in range(1, n):
+        clique = cliques[rng.randrange(v)]
+        joined = rng.sample(clique, min(len(clique), rng.randint(1, 3)))
+        edges += [(names[u], names[v]) for u in joined]
+        cliques.append(tuple(joined) + (v,))
+    return SimplicialGraph(names, edges)
 
 
 def _within(label, t0, limit):
@@ -207,6 +226,29 @@ def test_big_tree_report():
     assert report.hanging == leaves
     assert sorted(e.stable_letter for e in report.abelian.edges
                   if e.is_loop) == list(leaves)
+    assert all(c.passed for c in report.validation)
+
+
+def test_huge_tree_report():
+    # 39.0 s when every piece scanned the separators after its parent's,
+    # 35.6 s of it in the split tree; 5.7 s with a candidate list per piece
+    g = tree_graph(30_000, 0x7EE)
+    t0 = time.perf_counter()
+    report = jsj_report(g)
+    _within("jsj_report of a 30,000-vertex random tree", t0, 10)
+    assert len(report.relative.nodes) == 29_999
+    assert all(c.passed for c in report.validation)
+
+
+def test_huge_chordal_report():
+    # 27.5 s when every piece scanned the separators after its parent's,
+    # 24.5 s of it in the split tree; 5.4 s with a candidate list per piece
+    g = chordal_graph(30_000, 0xC0D)
+    t0 = time.perf_counter()
+    report = jsj_report(g)
+    _within("jsj_report of a 30,000-vertex chordal graph", t0, 10)
+    assert (len(report.relative.nodes), len(report.separators_used)) == \
+        (22_622, 13_064)
     assert all(c.passed for c in report.validation)
 
 
