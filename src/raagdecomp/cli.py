@@ -20,6 +20,7 @@ whole graph.
 import argparse
 import functools
 from json.encoder import encode_basestring_ascii as _str
+import operator
 import sys
 
 from .errors import (BudgetExceededError, DomainError, GraphParseError,
@@ -27,9 +28,11 @@ from .errors import (BudgetExceededError, DomainError, GraphParseError,
 from .graphs import (_full_mask, _sorted_edges, clique_separators,
                      connected_components, hanging_vertices, induced_subgraph,
                      is_complete, join_factors, parse_graph)
-from .jsj import abelian_jsj, gog_to_dot, gog_to_json_obj, relative_jsj, validate
+from .jsj import GraphOfGroups, abelian_jsj, gog_to_dot, relative_jsj, validate
 from .words import (centralizer_descriptor, cyclically_reduce, normal_form,
                     parse_word, support, word_text)
+
+_by_id = operator.attrgetter("id")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -87,17 +90,28 @@ def _read_text(path: str) -> str:
 
 def _dump(obj, pad="\n") -> str:
     """The text of `json.dumps(obj, indent=2)` for the dict, list, str,
-    int, bool and None values the commands emit; any other value, or a
-    key that is not a str, raises TypeError. Given an indent, `json.dumps`
-    encodes in pure Python; this walk builds one string per container and
-    leaves the strings to the C escaper that `json.dumps` uses without
-    one."""
+    int, bool and None values the commands emit, and for a decomposition,
+    written as `gog_to_json_obj` of it; any other value, or a key that is
+    not a str, raises TypeError. Given an indent, `json.dumps` encodes in
+    pure Python; this walk builds one string per container and leaves the
+    strings to the C escaper that `json.dumps` uses without one. A list of
+    lists of strings, such as `analyze`'s edges and separators, is laid
+    out in one comprehension."""
     if isinstance(obj, str):
         return _str(obj)
     if isinstance(obj, list):
         if not obj:
             return "[]"
         inner = pad + "  "
+        if type(obj[0]) is list and {*map(type, obj)} == {list}:
+            deeper = inner + "  "
+            sep = "," + deeper
+            try:
+                return "[" + inner + ("," + inner).join([
+                    "[" + deeper + sep.join(map(_str, v)) + inner + "]"
+                    if v else "[]" for v in obj]) + pad + "]"
+            except TypeError:
+                pass  # an item holds something other than a str: walk it
         return "[" + inner + ("," + inner).join(
             [_dump(v, inner) for v in obj]) + pad + "]"
     if isinstance(obj, dict):
@@ -115,7 +129,42 @@ def _dump(obj, pad="\n") -> str:
         return "null"
     if isinstance(obj, int):
         return int.__repr__(obj)
+    if isinstance(obj, GraphOfGroups):
+        return _gog_text(obj, pad)
     raise TypeError("cannot emit %s as JSON" % type(obj).__name__)
+
+
+def _gog_text(gog, pad):
+    """The text of `_dump(gog_to_json_obj(gog), pad)` for a decomposition
+    the pipeline builds (int ids, bool flags, str names): one string
+    expression per node and per edge, where the walk would make a call per
+    value."""
+    keys = pad + "  "  # of "nodes" and "edges"
+    item = keys + "  "  # of each node and edge
+    field = item + "  "  # of their keys
+    name = field + "  "  # of the names in a group and of an edge's ends
+    sep = "," + name
+    node = ('{%s"id": %%d,%s"group": %%s,%s"flexible": %%s%s}'
+            % (field, field, field, item))
+    edge = ('{%s"id": %%d,%s"ends": [%s%%d%s%%d%s],%s"group": %%s,'
+            '%s"stable_letter": %%s%s}'
+            % (field, field, name, sep, field, field, field, item))
+    nodes = [node % (n.id, "[" + name + sep.join(map(_str, n.group)) + field
+                     + "]" if n.group else "[]",
+                     "true" if n.flexible else "false")
+             for n in sorted(gog.nodes, key=_by_id)]
+    edges = [edge % (e.id, e.ends[0], e.ends[1],
+                     "[" + name + sep.join(map(_str, e.group)) + field + "]"
+                     if e.group else "[]",
+                     "null" if e.stable_letter is None
+                     else _str(e.stable_letter))
+             for e in sorted(gog.edges, key=_by_id)]
+    between = "," + item
+    return ("{" + keys + '"nodes": '
+            + ("[" + item + between.join(nodes) + keys + "]" if nodes else "[]")
+            + "," + keys + '"edges": '
+            + ("[" + item + between.join(edges) + keys + "]" if edges else "[]")
+            + pad + "}")
 
 
 def _emit(obj) -> None:
@@ -176,7 +225,7 @@ def _cmd_jsj(args, g) -> int:
                                      % (c.name, c.detail))
         else:
             entry = {"component": list(comps[k])} if several else {}
-            entry["decomposition"] = gog_to_json_obj(gog)
+            entry["decomposition"] = gog
             if not args.quiet:
                 entry["validation"] = [{"name": c.name, "passed": c.passed,
                                         "detail": c.detail} for c in checks]

@@ -19,7 +19,7 @@ from .graphs import (SimplicialGraph, _clique_mask,
                      _clique_minimal_separators, _component_masks,
                      _dot_escape, _edge_count, _full_mask, _mcs_m, _memoized,
                      _names, _splits, _vertex_mask, hanging_vertices,
-                     is_clique, is_connected, link, star)
+                     is_connected, link, star)
 
 
 @dataclass(frozen=True)
@@ -60,17 +60,11 @@ class GraphOfGroups:
         list order: each group's names are converted once per
         decomposition. A group that is not a set of vertex names of the
         base gets None; a check that needs its mask gets, through
-        `_table_mask`, the error its names raise."""
-        base = self.base
-
-        def mask(group):
-            try:
-                return _vertex_mask(base, group)
-            except _CHECK_ERRORS:
-                return None
-
-        return ([mask(n.group) for n in self.nodes],
-                [mask(e.group) for e in self.edges])
+        `_table_mask`, the error its names raise. `_build` hands its
+        decompositions their table; this converts the groups of any
+        other."""
+        return ([_group_mask(self.base, n.group) for n in self.nodes],
+                [_group_mask(self.base, e.group) for e in self.edges])
 
     def _at(self, node_id):
         """The position in `nodes` of the first node with id `node_id`;
@@ -78,22 +72,39 @@ class GraphOfGroups:
         try:
             return self._by_id[node_id]
         except KeyError:
-            raise DomainError("no node with id %d" % node_id) from None
+            raise DomainError("no node with id %r" % (node_id,)) from None
 
     def node(self, node_id: int) -> GogNode:
         return self.nodes[self._at(node_id)]
 
 
+def _group_mask(base, group):
+    """The vertex mask of `group`, or None when it is not a set of vertex
+    names of `base`: an entry of `GraphOfGroups._masks`."""
+    try:
+        return _vertex_mask(base, group)
+    except _CHECK_ERRORS:
+        return None
+
+
 def _build(base, groups, raw_edges):
     """Finalize a construction: nodes keep list order, non-loop edge ends are
-    ordered, edges are renumbered in (ends, group, stable letter) order."""
+    ordered, edges are renumbered in (ends, group, stable letter) order.
+    The decomposition gets its `_masks` table here, the node masks being
+    those its flexible flags are read from."""
+    node_masks = [_vertex_mask(base, grp) for grp in groups]
     nodes = tuple(
-        GogNode(i, tuple(sorted(grp)), is_clique(base, grp))
-        for i, grp in enumerate(groups))
+        GogNode(i, tuple(sorted(grp)), _clique_mask(base.masks, m))
+        for i, (grp, m) in enumerate(zip(groups, node_masks)))
     edges = tuple(
         GogEdge(i, (a, b), grp, stable)
         for i, (a, b, grp, stable) in enumerate(_ordered_edges(raw_edges)))
-    return GraphOfGroups(base, nodes, edges)
+    gog = GraphOfGroups(base, nodes, edges)
+    # the cached_property reads the instance __dict__ first; `replace`
+    # builds a new instance, which converts its groups afresh
+    gog.__dict__["_masks"] = (node_masks,
+                              [_group_mask(base, e.group) for e in edges])
+    return gog
 
 
 def _ordered_edges(raw_edges):
@@ -418,12 +429,19 @@ def reduce(gog: GraphOfGroups) -> GraphOfGroups:
     """Contract non-loop edges whose group equals an endpoint group, lowest
     edge id first, until none remain; incident edges and loops are re-homed
     onto the surviving endpoint (see `_contract`). An edge without two
-    ends among the node ids raises DomainError."""
-    groups = {n.id: n.group for n in gog.nodes}
+    ends among the node ids, or an id that two nodes or two edges share,
+    raises DomainError."""
+    groups = {}
+    for n in gog.nodes:
+        if n.id in groups:
+            raise DomainError("node id %r is repeated" % (n.id,))
+        groups[n.id] = n.group
     edges = {}
     for e in gog.edges:
         if len(e.ends) != 2 or not all(end in groups for end in e.ends):
-            raise DomainError("edge %d has undefined endpoint" % e.id)
+            raise DomainError("edge %r has undefined endpoint" % (e.id,))
+        if e.id in edges:
+            raise DomainError("edge id %r is repeated" % (e.id,))
         edges[e.id] = (e.ends[0], e.ends[1], e.group, e.stable_letter)
     return _build(gog.base, *_contract(groups, edges))
 

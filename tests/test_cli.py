@@ -8,8 +8,9 @@ from hypothesis import example, given, settings, strategies as st
 import pytest
 
 from raagdecomp import (CheckResult, InvariantViolationError, SimplicialGraph,
-                        cli, exhaustive_graphs, is_connected, serialize_graph,
-                        words)
+                        abelian_jsj, cli, exhaustive_graphs, gog_to_json_obj,
+                        induced_subgraph, is_connected, parse_graph,
+                        relative_jsj, serialize_graph, words)
 from raagdecomp.cli import _dump, main
 
 import golden
@@ -267,6 +268,63 @@ def test_disconnected_input_is_the_connected_path_per_component(a, b):
         1, "", "error: dot output needs a connected graph; got 2 components\n")
 
 
+def assert_jsj_json_is_the_reference(text, args):
+    """`jsj`'s JSON stdout on the graph `text` equals `json.dumps(...,
+    indent=2)` of the same output with each decomposition replaced by
+    `gog_to_json_obj` of it, byte for byte."""
+    code, out, _ = golden.cli_run(text, ["jsj", "-"] + args)
+    assert code == 0
+    g = parse_graph(text)
+    decompose = abelian_jsj if "abelian" in args else relative_jsj
+    obj = json.loads(out)
+    if isinstance(obj, list):
+        for entry in obj:
+            entry["decomposition"] = gog_to_json_obj(
+                decompose(induced_subgraph(g, entry["component"])))
+    else:
+        obj["decomposition"] = gog_to_json_obj(decompose(g))
+    assert out == json.dumps(obj, indent=2) + "\n"
+
+
+JSJ_JSON_ARGS = [[*mode, *quiet] for mode in ([], ["--mode", "abelian"])
+                 for quiet in ([], ["--quiet"])]
+
+# names JSON escapes: a quote, a backslash, a control character, non-ASCII
+# and astral characters (a surrogate pair in the output)
+ODD_NAMES = ['q"t', "back\\s", "ctl\x01x", "caf\u00e9", "smile\U0001f600",
+             "tab\t"]
+EMITTER_GRAPHS = {
+    "empty": {"vertices": [], "edges": []},
+    "p4": json.loads(P4_JSON),
+    "odd names path": {"vertices": ODD_NAMES, "edges": [
+        [u, v] for u, v in zip(ODD_NAMES, ODD_NAMES[1:])]},
+    "odd names, two components": {"vertices": ODD_NAMES + ["x", "y"],
+                                  "edges": [[ODD_NAMES[0], ODD_NAMES[1]],
+                                            [ODD_NAMES[1], ODD_NAMES[2]],
+                                            [ODD_NAMES[3], "x"], ["x", "y"],
+                                            [ODD_NAMES[4], ODD_NAMES[5]]]},
+    # abelian: loops whose stable letters are the tails
+    "triangle with tails": {"vertices": list("abcde"), "edges": [
+        ["a", "b"], ["b", "c"], ["a", "c"], ["c", "d"], ["a", "e"]]},
+    "isolated vertices": {"vertices": list("abc"), "edges": []},
+}
+
+
+@pytest.mark.parametrize("args", JSJ_JSON_ARGS, ids=" ".join)
+@pytest.mark.parametrize("name", sorted(EMITTER_GRAPHS))
+def test_jsj_json_is_the_reference(name, args):
+    assert_jsj_json_is_the_reference(json.dumps(EMITTER_GRAPHS[name]), args)
+
+
+def test_jsj_json_is_the_reference_on_the_golden_corpus():
+    # the command line corpus: 0-9 vertices, one or several components
+    calls = [(text, argv[2:]) for _, text, argv in golden.cli_calls()
+             if argv[0] == "jsj" and "dot" not in argv]
+    assert len(calls) == 4000
+    for text, args in calls:
+        assert_jsj_json_is_the_reference(text, args)
+
+
 class TestElement:
     def test_normal_form(self, capsys, p4_file):
         code, out, _ = run(capsys, "element", p4_file,
@@ -411,12 +469,29 @@ JSON_TREES = st.recursive(
     max_leaves=20)
 
 
+# lists whose items are mostly lists of names, as `analyze` emits
+NAME_LISTS = st.lists(st.lists(st.text(CHARS, max_size=4), max_size=3)
+                      | JSON_TREES, min_size=1, max_size=5)
+
+NAMES = [["a", 'q"t'], ["back\\s", "ctl\x01", "caf\u00e9", "\U0001f600"], ["z"]]
+
+
 class TestJsonWriter:
-    @given(JSON_TREES)
+    @given(JSON_TREES | NAME_LISTS)
     @example({"a": [], "b": {}, "c": [[], {}, [1, [True, None]]], "": -3})
     @settings(deadline=None, max_examples=500)
     def test_same_bytes_as_the_stdlib_with_an_indent(self, obj):
         assert _dump(obj) == json.dumps(obj, indent=2)
+
+    @pytest.mark.parametrize("odd", [
+        7, {"k": ["a"]}, None, [], "ab", True,
+        ["a", 7], ["a", {"k": "b"}], [None, "a"], ["a", []], ["a", ["b"]]])
+    def test_lists_of_name_lists_with_another_item(self, odd):
+        # an item that is no list of strings, first or last, in the list
+        # itself or among an item's names
+        for obj in ([odd] + NAMES, NAMES + [odd]):
+            assert _dump(obj) == json.dumps(obj, indent=2)
+            assert _dump({"k": [obj]}) == json.dumps({"k": [obj]}, indent=2)
 
     @pytest.mark.parametrize("value", [1.5, (1, 2), {"a"}, {1: "a"}])
     def test_other_values_raise_type_error(self, value):

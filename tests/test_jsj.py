@@ -207,6 +207,24 @@ class TestReduce:
             reduce(gog)
         assert str(info.value) == "edge 0 has undefined endpoint"
 
+    def test_repeated_ids_refused(self, p4):
+        # p4's relative decomposition: nodes 0-2 and edges 0 (0, 1), 1 (1, 2)
+        rel = relative_jsj(p4)
+        n, e = rel.nodes, rel.edges
+        for gog, message in [
+                (replace(rel, edges=(e[0], replace(e[1], id=0))),
+                 "edge id 0 is repeated"),
+                (replace(rel, nodes=(n[0], replace(n[1], id=0), n[2])),
+                 "node id 0 is repeated"),
+                (replace(rel, nodes=(n[0], replace(n[1], id="x"), n[2])),
+                 "edge 0 has undefined endpoint"),
+                (replace(rel, edges=(replace(e[0], id="e", ends=(0, 7)),
+                                     e[1])),
+                 "edge 'e' has undefined endpoint")]:
+            with pytest.raises(DomainError) as info:
+                reduce(gog)
+            assert str(info.value) == message
+
 
 class TestValidate:
     def test_detects_disconnected_base_graph(self, p4):
@@ -440,6 +458,50 @@ class TestNodeLookup:
         gog = relative_jsj(p4)
         with pytest.raises(DomainError, match="no node with id 3"):
             gog.node(3)
+
+    @pytest.mark.parametrize("node_id", ["x", None, 1.5, (1, 2)])
+    def test_missing_id_of_another_type_is_named(self, p4, node_id):
+        gog = relative_jsj(p4)
+        with pytest.raises(DomainError) as info:
+            gog.node(node_id)
+        assert str(info.value) == "no node with id %r" % (node_id,)
+
+    def test_string_edge_end_is_named_by_validate(self, p4):
+        rel = relative_jsj(p4)
+        gog = replace(rel, edges=(replace(rel.edges[0], ends=(0, "x")),
+                                  rel.edges[1]))
+        [check] = [c for c in validate(gog) if c.name == "embedding"]
+        assert check == CheckResult("embedding", False,
+                                    "check raised: no node with id 'x'")
+
+
+class TestMaskTable:
+    def test_built_table_is_a_fresh_conversion(self, monkeypatch):
+        # `_build` hands its table over, so reading it converts nothing; a
+        # caller-built copy converts its groups when the table is read
+        calls = []
+        convert = jsj._vertex_mask
+        monkeypatch.setattr(jsj, "_vertex_mask", lambda base, group:
+                            calls.append(group) or convert(base, group))
+        for _, g in golden.corpus():
+            for gog in (relative_jsj(g), abelian_jsj(g)):
+                calls.clear()
+                table = gog._masks
+                assert calls == []
+                fresh = GraphOfGroups(gog.base, gog.nodes, gog.edges)._masks
+                assert table == fresh
+                assert len(calls) == len(gog.nodes) + len(gog.edges)
+
+    def test_replaced_groups_get_a_fresh_table(self, p4):
+        rel = relative_jsj(p4)
+        old = rel._masks
+        nodes = tuple(replace(n, group=("a", "b", "c", "d")[:i + 2])
+                      for i, n in enumerate(rel.nodes))
+        edges = (replace(rel.edges[0], group=("zz",)), rel.edges[1])
+        for gog in (replace(rel, nodes=nodes), replace(rel, edges=edges),
+                    replace(rel, nodes=nodes, edges=edges)):
+            fresh = GraphOfGroups(gog.base, gog.nodes, gog.edges)._masks
+            assert gog._masks == fresh != old
 
 
 class TestAttachIndex:
